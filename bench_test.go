@@ -210,25 +210,35 @@ func BenchmarkTraceOverheadPatternSink(b *testing.B) {
 }
 
 // BenchmarkTraceRangeSweep measures the run-length-encoded range path
-// against the scalar buffered path on the same sweep workload. One
-// ScopeRange call replaces a block's worth of ScopeR calls, so the
-// per-access figure is the amortized cost of covering one element. The
-// acceptance bar for the contiguous shape is range_speedup_x >= 3 over
-// the scalar buffered path.
+// against the scalar path on the same sweep workload, so the per-access
+// figure is the amortized cost of covering one element. Contiguous and
+// Strided go through xplrt device scopes and the single-owner Buffer:
+// one ScopeRange call replaces a block's worth of ScopeR calls. SlotRows
+// goes through trace.Tracer and the engine's per-P slots with the short
+// 2-4-line rows the Rodinia kernels record, each of which flushes the
+// engine at record time. The acceptance bar for the contiguous shape is
+// range_speedup_x >= 3 over the scalar buffered path.
 func BenchmarkTraceRangeSweep(b *testing.B) {
 	const total = 1 << 20
 	for _, c := range []struct {
-		name   string
-		stride int
+		name          string
+		ranged, plain func() float64
 	}{
-		{"Contiguous", 1},
-		{"Strided", 4},
+		{"Contiguous",
+			func() float64 { return bench.RangeSweepHotPath(1, total, 1) },
+			func() float64 { return bench.TraceHotPath(1, total) }},
+		{"Strided",
+			func() float64 { return bench.RangeSweepHotPath(1, total, 4) },
+			func() float64 { return bench.TraceHotPath(1, total) }},
+		{"SlotRows",
+			func() float64 { return bench.TracerRowHotPath(total, false) },
+			func() float64 { return bench.TracerRowHotPath(total, true) }},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			ranged, scalar := math.Inf(1), math.Inf(1)
 			for i := 0; i < b.N; i++ {
-				ranged = math.Min(ranged, bench.RangeSweepHotPath(1, total, c.stride))
-				scalar = math.Min(scalar, bench.TraceHotPath(1, total))
+				ranged = math.Min(ranged, c.ranged())
+				scalar = math.Min(scalar, c.plain())
 			}
 			b.ReportMetric(ranged, "range_ns_per_access")
 			b.ReportMetric(scalar, "scalar_ns_per_access")

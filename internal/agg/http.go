@@ -136,9 +136,11 @@ func (g *Aggregator) servePerfetto(w http.ResponseWriter, r *http.Request) {
 }
 
 // serveMetrics writes Prometheus text-format counters: global ingest
-// totals plus per-proc applied records, apply-queue depth, and ingest
-// stalls. Reads atomics only — never an apply-path structure — so it is
-// stall-free in both directions.
+// totals plus per-proc applied records and batches, apply-queue depth,
+// ingest stalls and client-reported drops. Each family is one group led
+// by its HELP and TYPE lines, with one sample per proc. Reads atomics
+// only — never an apply-path structure — so it is stall-free in both
+// directions.
 func (g *Aggregator) serveMetrics(w http.ResponseWriter, _ *http.Request) {
 	streams, active, batches, records, bytes, crcErrs, decodeErrs := g.Totals()
 	served, builds := g.SnapshotStats()
@@ -152,16 +154,46 @@ func (g *Aggregator) serveMetrics(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintf(w, "# HELP xplagg_decode_errors_total Streams failing to decode.\n# TYPE xplagg_decode_errors_total counter\nxplagg_decode_errors_total %d\n", decodeErrs)
 	fmt.Fprintf(w, "# HELP xplagg_snapshots_served_total Snapshot requests served from the published state.\n# TYPE xplagg_snapshots_served_total counter\nxplagg_snapshots_served_total %d\n", served)
 	fmt.Fprintf(w, "# HELP xplagg_snapshot_builds_total Snapshot rebuilds performed by apply workers.\n# TYPE xplagg_snapshot_builds_total counter\nxplagg_snapshot_builds_total %d\n", builds)
-	fmt.Fprintf(w, "# HELP xplagg_proc_records_total Access records applied per process.\n# TYPE xplagg_proc_records_total counter\n")
-	for _, p := range g.Procs() {
-		pb, pr, _, dropped := p.Stats()
-		depth, capacity, stalls := p.QueueStats()
-		fmt.Fprintf(w, "xplagg_proc_records_total{tenant=%q,process=%q} %d\n", p.Tenant, p.Process, pr)
-		fmt.Fprintf(w, "xplagg_proc_batches_total{tenant=%q,process=%q} %d\n", p.Tenant, p.Process, pb)
-		fmt.Fprintf(w, "xplagg_proc_queue_depth{tenant=%q,process=%q,capacity=\"%d\"} %d\n", p.Tenant, p.Process, capacity, depth)
-		fmt.Fprintf(w, "xplagg_proc_ingest_stalls_total{tenant=%q,process=%q} %d\n", p.Tenant, p.Process, stalls)
-		if dropped > 0 {
-			fmt.Fprintf(w, "xplagg_proc_client_dropped_records{tenant=%q,process=%q} %d\n", p.Tenant, p.Process, dropped)
+
+	// Read each proc's counters once, so every family reports the same
+	// reading.
+	type procRow struct {
+		p                                 *Proc
+		batches, records, stalls, dropped int64
+		depth, capacity                   int
+	}
+	procs := g.Procs()
+	rows := make([]procRow, len(procs))
+	for i, p := range procs {
+		r := &rows[i]
+		r.p = p
+		r.batches, r.records, _, r.dropped = p.Stats()
+		r.depth, r.capacity, r.stalls = p.QueueStats()
+	}
+	for _, f := range []struct {
+		name, typ, help string
+		// sample returns a proc's value, any labels after tenant and
+		// process, and whether the proc has a sample in this family.
+		sample func(r procRow) (v int64, extra string, ok bool)
+	}{
+		{"xplagg_proc_records_total", "counter", "Access records applied per process.",
+			func(r procRow) (int64, string, bool) { return r.records, "", true }},
+		{"xplagg_proc_batches_total", "counter", "Access batches applied per process.",
+			func(r procRow) (int64, string, bool) { return r.batches, "", true }},
+		{"xplagg_proc_queue_depth", "gauge", "Apply-queue depth per process; the capacity label is the queue's bound.",
+			func(r procRow) (int64, string, bool) {
+				return int64(r.depth), fmt.Sprintf(",capacity=\"%d\"", r.capacity), true
+			}},
+		{"xplagg_proc_ingest_stalls_total", "counter", "Enqueues per process that stalled on a full apply queue.",
+			func(r procRow) (int64, string, bool) { return r.stalls, "", true }},
+		{"xplagg_proc_client_dropped_records", "counter", "Records the process's clients reported dropping before the wire; no sample while zero.",
+			func(r procRow) (int64, string, bool) { return r.dropped, "", r.dropped > 0 }},
+	} {
+		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, f.typ)
+		for _, r := range rows {
+			if v, extra, ok := f.sample(r); ok {
+				fmt.Fprintf(w, "%s{tenant=%q,process=%q%s} %d\n", f.name, r.p.Tenant, r.p.Process, extra, v)
+			}
 		}
 	}
 }

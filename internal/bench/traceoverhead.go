@@ -9,6 +9,7 @@ import (
 	"xplacer/internal/machine"
 	"xplacer/internal/memsim"
 	"xplacer/internal/shadow"
+	"xplacer/internal/trace"
 	"xplacer/xplrt"
 )
 
@@ -139,6 +140,46 @@ func RangeSweepHotPath(goroutines, total, stride int) float64 {
 	elapsed := time.Since(start)
 	xplrt.Reset()
 	return float64(elapsed.Nanoseconds()) / float64(per*goroutines)
+}
+
+// TracerRowHotPath measures the slot-path range cost on the shape the
+// range-converted Rodinia kernels issue: trace.Tracer.TraceAccessRange
+// over short float32 rows of 24, 40 and 56 elements, each row read and
+// then written. Rows start 224 bytes apart, so every record spans 2-4
+// cache lines and flushes the engine at record time. With scalar set
+// the same rows go through TraceAccess element by element instead. The
+// returned figure is ns per covered element, including the final flush.
+func TracerRowHotPath(total int, scalar bool) float64 {
+	const (
+		allocs   = 8
+		rows     = 64
+		rowBytes = 56 * 4
+	)
+	lens := [...]int{24, 40, 56}
+	tr := trace.New()
+	as := make([]*memsim.Alloc, allocs)
+	for i := range as {
+		as[i] = &memsim.Alloc{ID: i, Base: memsim.Addr(0x100000 * (i + 1)), Size: rows * rowBytes, Kind: memsim.Managed}
+		tr.TraceAlloc(as[i])
+	}
+	start := time.Now()
+	done := 0
+	for r := 0; done < total; r++ {
+		a, n := as[r%allocs], lens[r%len(lens)]
+		row := a.Base + memsim.Addr((r/allocs)%rows*rowBytes)
+		for _, kind := range [...]memsim.AccessKind{memsim.Read, memsim.Write} {
+			if !scalar {
+				tr.TraceAccessRange(machine.GPU, a, row, n, 4, 4, kind)
+				continue
+			}
+			for k := 0; k < n; k++ {
+				tr.TraceAccess(machine.GPU, a, row+memsim.Addr(4*k), 4, kind)
+			}
+		}
+		done += 2 * n
+	}
+	tr.Flush()
+	return float64(time.Since(start).Nanoseconds()) / float64(done)
 }
 
 // BulkApplyHotPath measures the drain-side shadow application: ns per

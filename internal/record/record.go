@@ -16,15 +16,39 @@
 // unlike the previous design, which sharded buffers by *address* and made
 // two goroutines sweeping the same allocation fight over one shard lock.
 // Each appended record carries a global sequence stamp; the drain sweep
-// gathers every slot and merges the records back into stamp order before
-// the sinks see them, so the per-word ordering the detectors depend on is
-// reconstructed at drain time instead of being imposed on the hot path.
+// gathers the occupied slots and merges the records back into stamp order
+// before the sinks see them, so the per-word ordering the detectors
+// depend on is reconstructed at drain time instead of being imposed on
+// the hot path.
+//
 // A Buffer is the still-cheaper variant for single-owner
 // (goroutine-private) recording, used by xplrt's DeviceScope: it needs
 // neither slot selection nor stamps, because one owner appending in
 // program order and applying the whole buffer as one batch is already
 // ordered. Neither path touches a sink until a buffer fills or a flush
 // point is reached.
+//
+// # Occupied-slot sweep
+//
+// The engine keeps a 64-bit mask with one bit per slot, set while the
+// slot holds records, so a sweep locks only the slots that have something
+// to drain. Three rules keep that partial sweep exact:
+//
+//   - A recorder sets its slot's bit under the slot lock, before it takes
+//     the record's sequence stamp.
+//   - A sweep clears a bit only while it holds that slot's lock.
+//   - After locking the slots it read from the mask, a sweep reads the
+//     mask again and locks any new bits, until a read shows none.
+//
+// Call that last read the cut. A gathered record was stamped while its
+// recorder held the slot, before the sweep took it, so before the cut.
+// A record stamped before the cut had its bit set then, and the bit stays
+// set until this sweep clears it, so the sweep locked its slot; the
+// recorder's critical section cannot overlap the sweep's hold, so the
+// record is gathered. The stamp counter is one atomic, so the gathered
+// set is a prefix of the stamps: no record left behind has a smaller
+// stamp than one that drains, whatever slots its goroutine hopped
+// between.
 //
 // # Flush ordering guarantees
 //
@@ -34,8 +58,8 @@
 //     apply to the sinks in recording order. (The drain merge restores
 //     global sequence order, which is stronger: the entire Record stream
 //     applies in the order the stamps were taken.)
-//  2. Flush drains every slot; after it returns, everything recorded
-//     through Record before the call is visible to the sinks.
+//  2. Flush drains every occupied slot; after it returns, everything
+//     recorded through Record before the call is visible to the sinks.
 //  3. A Buffer drain flushes the shared slots first, so accesses
 //     recorded through Record before a buffer section (e.g. CPU
 //     initialization preceding a GPU scope) apply before the buffer's
@@ -51,6 +75,7 @@
 package record
 
 import (
+	"math/bits"
 	"runtime"
 	"sort"
 	"sync"
@@ -65,11 +90,12 @@ const (
 	// NumSlots fixes the number of per-P buffer slots. The recording
 	// goroutine's current P indexes the array (mod NumSlots), so up to
 	// NumSlots processors record with no slot contention at all; a
-	// contended or stolen slot falls over to the next free one.
+	// contended or stolen slot falls over to the next free one. It is
+	// also the width of the engine's occupied-slot mask.
 	NumSlots = 64
 	// slotCap is the per-slot buffer capacity; a slot filling up triggers
-	// a whole-engine sweep (per-word ordering needs the merge, so slots
-	// cannot drain individually).
+	// an engine sweep (per-word ordering needs the merge, so slots cannot
+	// drain individually).
 	slotCap = 1024
 	// bufferCap is the per-Buffer capacity. Buffers are goroutine-private;
 	// the capacity stays modest (24 KiB of records) so that the buffers of
@@ -187,7 +213,7 @@ type Engine struct {
 	// why Locked's fn must not call Flush).
 	mu    sync.Mutex
 	sinks []Sink
-	// flushMu serializes whole-engine slot sweeps (see Flush).
+	// flushMu serializes slot sweeps and resets (see Flush).
 	flushMu sync.Mutex
 
 	// disabled is the recording switch; the zero value means enabled, so
@@ -196,12 +222,14 @@ type Engine struct {
 	// gen is the cache generation; Invalidate bumps it and every cursor
 	// re-syncs (dropping its cached entry) at its next apply.
 	gen atomic.Uint64
-	// dirty is set by Record whenever a slot takes an access (or a kind
-	// count), and cleared by the Flush that sweeps the slots. While it is
-	// clear, Flush is a no-op — so Buffer drains in scope-only workloads
-	// (no slot-path recording at all) skip the NumSlots idle slot locks of
-	// ordering guarantee 3 instead of paying them on every drain.
-	dirty atomic.Bool
+	// occupied has bit i set while slot i holds records. A recorder sets
+	// the bit when it takes an empty slot, a sweep or reset clears it
+	// while holding the slot's lock, so under the slot lock the bit is
+	// set exactly when the slot is non-empty. A sweep locks only these
+	// slots, and a Flush that finds the mask zero returns at once — so
+	// Buffer drains in scope-only workloads (no slot-path recording at
+	// all) pay no slot lock for ordering guarantee 3.
+	occupied atomic.Uint64
 	// seq issues the global per-record order stamps the drain merge sorts
 	// by. Stamps are taken while holding a slot lock, so within one slot
 	// they are strictly increasing and the merge input is a set of sorted
@@ -213,7 +241,7 @@ type Engine struct {
 	slots [NumSlots]pslot
 
 	// scratch and scratchSeq are the reusable merge buffers a sweep
-	// gathers every slot's pending records into; guarded by flushMu.
+	// gathers the occupied slots' records into; guarded by flushMu.
 	scratch    []shadow.Access
 	scratchSeq []uint64
 	// mergedCur is the single sink cursor for the merged Record stream
@@ -244,27 +272,58 @@ func (e *Engine) SetEnabled(on bool) { e.disabled.Store(!on) }
 // Enabled reports whether access recording is active.
 func (e *Engine) Enabled() bool { return !e.disabled.Load() }
 
-// lockSlot picks and locks an execution-local slot: the current P's slot
-// when free (the uncontended common case — one cache line no other P is
-// writing), otherwise the next free slot. The pin is released before the
-// CAS, so the hint can go stale under migration; that costs locality, not
-// correctness — the sequence stamps restore order at drain time. The
-// search never blocks on a held slot (a preempted holder must not stall
-// recording); after a full empty circuit it yields the processor.
+// lockSlot picks and locks an execution-local slot with room for one
+// record: the current P's slot when free (the uncontended common case —
+// one cache line no other P is writing), otherwise the next free slot.
+// The pin is released before the CAS, so the hint can go stale under
+// migration; that costs locality, not correctness — the sequence stamps
+// restore order at drain time. The search never blocks on a held slot (a
+// preempted holder must not stall recording); after a full empty circuit
+// it yields the processor.
+//
+// A slot is never handed out full. The recorder that fills a slot
+// releases it before flushing, so another recorder can take it in
+// between; that one releases it, flushes too and searches again. A slot
+// handed out empty is marked occupied before lockSlot returns, so the
+// caller's stamp is taken after its bit is set.
 func (e *Engine) lockSlot() *pslot {
 	i := procHint() % NumSlots
 	for spins := 1; ; spins++ {
 		s := &e.slots[i]
 		if s.tryLock() {
-			return s
+			switch n := len(s.buf); {
+			case n == 0:
+				if cap(s.buf) == 0 {
+					s.buf = make([]shadow.Access, 0, slotCap)
+					s.seq = make([]uint64, 0, slotCap)
+				}
+				e.mark(uint64(1) << i)
+				return s
+			case n < slotCap:
+				return s
+			}
+			s.unlock()
+			e.Flush()
+			continue
 		}
 		if i++; i == NumSlots {
 			i = 0
 		}
 		if spins%NumSlots == 0 {
-			// All slots busy (a sweep holds every lock, or massive
-			// oversubscription): let the holders run.
+			// All slots busy (massive oversubscription, or a sweep
+			// holding every occupied slot): let the holders run.
 			runtime.Gosched()
+		}
+	}
+}
+
+// mark sets a slot's bit in the occupied mask. go 1.22 has no atomic
+// Or, so it is a CAS loop; recorders call it only on an empty slot.
+func (e *Engine) mark(bit uint64) {
+	for {
+		m := e.occupied.Load()
+		if e.occupied.CompareAndSwap(m, m|bit) {
+			return
 		}
 	}
 }
@@ -276,14 +335,7 @@ func (e *Engine) Record(dev machine.Device, addr memsim.Addr, size int64, kind m
 		return
 	}
 	s := e.lockSlot()
-	if !e.dirty.Load() {
-		e.dirty.Store(true)
-	}
 	s.cnt.add(kind, 1)
-	if cap(s.buf) == 0 {
-		s.buf = make([]shadow.Access, 0, slotCap)
-		s.seq = make([]uint64, 0, slotCap)
-	}
 	s.buf = appendScalar(s.buf, dev, addr, size, kind)
 	s.seq = append(s.seq, e.seq.Add(1))
 	full := len(s.buf) >= slotCap
@@ -339,14 +391,7 @@ func (e *Engine) RecordRange(dev machine.Device, base memsim.Addr, count int, st
 func (e *Engine) recordRun(dev machine.Device, base memsim.Addr, count int, stride, size int64, kind memsim.AccessKind) {
 	span := int64(count-1)*stride + size
 	s := e.lockSlot()
-	if !e.dirty.Load() {
-		e.dirty.Store(true)
-	}
 	s.cnt.add(kind, int64(count))
-	if cap(s.buf) == 0 {
-		s.buf = make([]shadow.Access, 0, slotCap)
-		s.seq = make([]uint64, 0, slotCap)
-	}
 	n := len(s.buf)
 	s.buf = s.buf[:n+1]
 	a := &s.buf[n]
@@ -389,48 +434,70 @@ func (m seqMerge) Swap(i, j int) {
 	m.seq[i], m.seq[j] = m.seq[j], m.seq[i]
 }
 
-// sweep gathers every slot's pending records, merges them back into
-// global sequence order, and applies the result to the sinks as one
-// batch; the caller holds flushMu.
+// lockOccupied locks every slot whose occupied bit is set and returns
+// the set it locked. It re-reads the mask after each round of locking and
+// stops at the first read that shows no bit it does not hold: that read
+// is the sweep's cut (see the package doc). The caller holds flushMu, so
+// no bit it read can clear before it locks the slot. Recorders never
+// block while holding a slot, so spinning on one cannot deadlock.
+func (e *Engine) lockOccupied() uint64 {
+	var held uint64
+	for {
+		m := e.occupied.Load() &^ held
+		if m == 0 {
+			return held
+		}
+		held |= m
+		for ; m != 0; m &= m - 1 {
+			s := &e.slots[bits.TrailingZeros64(m)]
+			for !s.tryLock() {
+				runtime.Gosched()
+			}
+		}
+	}
+}
+
+// releaseEmptied clears the held slots' occupied bits, then unlocks them.
+// The caller has emptied every held slot; clearing before unlocking keeps
+// each bit set exactly while its slot holds records.
+func (e *Engine) releaseEmptied(held uint64) {
+	for {
+		m := e.occupied.Load()
+		if e.occupied.CompareAndSwap(m, m&^held) {
+			break
+		}
+	}
+	for ; held != 0; held &= held - 1 {
+		e.slots[bits.TrailingZeros64(held)].unlock()
+	}
+}
+
+// sweep gathers the occupied slots' pending records, merges them back
+// into global sequence order, and applies the result to the sinks as one
+// batch; the caller holds flushMu and has seen a bit set in the mask, so
+// the batch is never empty.
 //
-// All slot locks are held across the gather. This is what makes the
-// sweep a linearization point: a recording goroutine that migrated
-// between slots mid-stream either got both records into the gathered set
-// or will find every slot locked and land both in the next sweep —
-// releasing slots one by one as they are copied would let a later stamp
-// drain in this sweep while an earlier stamp for the same word waits in
-// an already-released slot. Recorders never block while holding a slot,
-// so holding all of them cannot deadlock.
+// Every gathered slot stays locked until all are gathered, and the
+// locked set is closed under the mask's cut (lockOccupied), so the batch
+// is exactly the records stamped before the cut: a recording goroutine
+// that migrated between slots mid-stream either got both records into
+// the batch or lands both in the next sweep — releasing slots one by one
+// as they are copied would let a later stamp drain in this sweep while
+// an earlier stamp for the same word waits in an already-released slot.
 func (e *Engine) sweep() {
 	e.scratch = e.scratch[:0]
 	e.scratchSeq = e.scratchSeq[:0]
-	for i := range e.slots {
-		s := &e.slots[i]
-		for !s.tryLock() {
-			runtime.Gosched()
-		}
+	held := e.lockOccupied()
+	for m := held; m != 0; m &= m - 1 {
+		s := &e.slots[bits.TrailingZeros64(m)]
+		s.cnt.mergeInto(e)
+		e.scratch = append(e.scratch, s.buf...)
+		e.scratchSeq = append(e.scratchSeq, s.seq...)
+		s.buf = s.buf[:0]
+		s.seq = s.seq[:0]
 	}
-	runs := 0
-	for i := range e.slots {
-		s := &e.slots[i]
-		if !s.cnt.empty() {
-			s.cnt.mergeInto(e)
-		}
-		if len(s.buf) > 0 {
-			e.scratch = append(e.scratch, s.buf...)
-			e.scratchSeq = append(e.scratchSeq, s.seq...)
-			s.buf = s.buf[:0]
-			s.seq = s.seq[:0]
-			runs++
-		}
-	}
-	for i := range e.slots {
-		e.slots[i].unlock()
-	}
-	if len(e.scratch) == 0 {
-		return
-	}
-	if runs > 1 {
+	e.releaseEmptied(held)
+	if bits.OnesCount64(held) > 1 {
 		sort.Sort(seqMerge{e.scratch, e.scratchSeq})
 	}
 	e.mu.Lock()
@@ -438,18 +505,18 @@ func (e *Engine) sweep() {
 	e.mu.Unlock()
 }
 
-// Flush drains every slot into the sinks (ordering guarantee 2). When no
-// slot has taken an access since the last sweep the call is one
-// uncontended lock. flushMu serializes sweeps, so a Flush returning
-// cheaply has still waited out any in-flight sweep — without it a second
-// Flush could observe the cleared dirty flag and return while the first
-// was mid-sweep, with undrained slots still ahead of it. A Record racing
-// with the sweep either gets drained by it or re-marks the engine dirty
-// for the next Flush.
+// Flush drains every occupied slot into the sinks (ordering guarantee
+// 2). When no slot holds records the call is one uncontended lock and
+// one load. flushMu serializes sweeps, so a Flush returning cheaply has
+// still waited out any in-flight sweep — without it a second Flush could
+// observe bits the first had just cleared and return while the first was
+// mid-apply, with its records not yet at the sinks. A Record racing with
+// the sweep is either stamped before the sweep's cut and drained by it,
+// or leaves its slot's bit set for the next Flush.
 func (e *Engine) Flush() {
 	e.flushMu.Lock()
 	defer e.flushMu.Unlock()
-	if !e.dirty.Swap(false) {
+	if e.occupied.Load() == 0 {
 		return
 	}
 	e.sweep()
@@ -479,20 +546,19 @@ func (e *Engine) Invalidate() { e.gen.Add(1) }
 // generation bump on their next drain.
 func (e *Engine) Reset() {
 	// Serialize against sweeps so a concurrent Flush cannot interleave
-	// drained and discarded slots. dirty stays as-is: a Record racing the
-	// reset may land in an already-cleared slot, and its mark must survive.
+	// drained and discarded slots. Only the locked slots' bits clear: a
+	// Record racing the reset past its cut lands in a slot it did not
+	// lock, and that slot's bit must survive.
 	e.flushMu.Lock()
 	defer e.flushMu.Unlock()
-	for i := range e.slots {
-		s := &e.slots[i]
-		for !s.tryLock() {
-			runtime.Gosched()
-		}
+	held := e.lockOccupied()
+	for m := held; m != 0; m &= m - 1 {
+		s := &e.slots[bits.TrailingZeros64(m)]
 		s.buf = s.buf[:0]
 		s.seq = s.seq[:0]
 		s.cnt = kindCounts{}
-		s.unlock()
 	}
+	e.releaseEmptied(held)
 	e.reads.Store(0)
 	e.writes.Store(0)
 	e.readWrites.Store(0)

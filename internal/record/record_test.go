@@ -1,7 +1,10 @@
 package record
 
 import (
+	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"xplacer/internal/machine"
@@ -179,7 +182,11 @@ func TestAddSinkSeesOnlyLaterBatches(t *testing.T) {
 
 // TestSlotDrainOnFill checks that a filling slot drains without an
 // explicit flush (a single-goroutine recorder keeps hitting one slot).
+// It runs on one P so the recorder's slot hint cannot change mid-test:
+// with more Ps a migration splits the records over two slots, neither
+// fills, and correctly nothing drains.
 func TestSlotDrainOnFill(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	eng, sink := newTableEngine(t, 0x1000, 64)
 	for i := 0; i < slotCap; i++ {
 		eng.Record(machine.CPU, 0x1000, 4, memsim.Write)
@@ -251,5 +258,161 @@ func TestConcurrentFlushSafe(t *testing.T) {
 	eng.Flush()
 	if c := eng.Counts(); c.Reads != 8000 {
 		t.Errorf("reads = %d, want 8000", c.Reads)
+	}
+}
+
+// orderSink checks, per recording goroutine, that records reach the
+// sinks in recording order across batches; the goroutine is the address's
+// high 32 bits and its record index the low ones.
+type orderSink struct {
+	next  []memsim.Addr
+	total int64
+	err   error
+}
+
+func (s *orderSink) Apply(batch []shadow.Access, _ *Cursor) {
+	for _, a := range batch {
+		g, i := a.Addr>>32, a.Addr&(1<<32-1)
+		if s.err == nil && i != s.next[g] {
+			s.err = fmt.Errorf("goroutine %d: record %d applied, want %d", g, i, s.next[g])
+		}
+		s.next[g] = i + 1
+	}
+	s.total += int64(len(batch))
+}
+
+// TestSlotOverflowUnderContention pins the full-slot invariant: with far
+// more recorders than Ps, goroutines keep finding a slot that another one
+// just filled and released on its way to Flush. A recorder must never
+// append to it: the 1025th append overruns the slot's buffer with a
+// slice-bounds panic. The order sink also checks that each goroutine's
+// records drain in the order it made them.
+func TestSlotOverflowUnderContention(t *testing.T) {
+	const (
+		goroutines = 16
+		each       = 200_000
+	)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	sink := &orderSink{next: make([]memsim.Addr, goroutines)}
+	eng := NewEngine(sink)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				eng.Record(machine.GPU, memsim.Addr(g)<<32|memsim.Addr(i), 4, memsim.Read)
+			}
+		}(g)
+	}
+	wg.Wait()
+	c := eng.Counts()
+	if sink.err != nil {
+		t.Fatal(sink.err)
+	}
+	if want := int64(goroutines * each); sink.total != want || c.Reads != want {
+		t.Errorf("applied %d records, counted %d reads; want %d", sink.total, c.Reads, want)
+	}
+}
+
+// TestSlotHoppingMatchesSequential drives more recorders than Ps, each
+// yielding between records so it changes slots mid-stream, while another
+// goroutine flushes in a loop: every partial sweep must cut the stamp
+// stream at a prefix. Each recorder owns its words. Per round it gives
+// every word a write / read-by-the-other-device / write triple, then
+// reads all its words as one multi-line range, which flushes at record
+// time; the writing device alternates by round. Applying any two
+// consecutive records of a recorder out of order changes a word's
+// read-origin bits. Shadow bytes, kind counts and heat maps must equal a
+// sequential replay of the same calls.
+func TestSlotHoppingMatchesSequential(t *testing.T) {
+	const (
+		words  = 40 // per recorder: 160 bytes, so its range spans 3-4 lines
+		rounds = 40
+		base   = memsim.Addr(0x10000)
+	)
+	recorders := 2*runtime.GOMAXPROCS(0) + 1
+	run := func(concurrent bool) (*TableSink, *HeatmapSink, Counts) {
+		sink := NewTableSink(shadow.NewTable())
+		if _, err := sink.Table().InsertRange(base, int64(recorders*words*shadow.WordSize), "a", memsim.Managed, "test"); err != nil {
+			t.Fatal(err)
+		}
+		hm := NewHeatmapSink(sink.Table())
+		eng := NewEngine(sink, hm)
+		record := func(w int, yield bool) {
+			first := base + memsim.Addr(w*words*shadow.WordSize)
+			for r := 0; r < rounds; r++ {
+				a, b := machine.CPU, machine.GPU
+				if r%2 == 1 {
+					a, b = b, a
+				}
+				for k := 0; k < words; k++ {
+					addr := first + memsim.Addr(k*shadow.WordSize)
+					for _, op := range [...]struct {
+						dev  machine.Device
+						kind memsim.AccessKind
+					}{{a, memsim.Write}, {b, memsim.Read}, {a, memsim.Write}} {
+						eng.Record(op.dev, addr, shadow.WordSize, op.kind)
+						if yield {
+							runtime.Gosched()
+						}
+					}
+				}
+				eng.RecordRange(b, first, words, shadow.WordSize, shadow.WordSize, memsim.Read)
+			}
+		}
+		if !concurrent {
+			for w := 0; w < recorders; w++ {
+				record(w, false)
+			}
+			return sink, hm, eng.Counts()
+		}
+		var done atomic.Bool
+		flushed := make(chan struct{})
+		go func() {
+			defer close(flushed)
+			for !done.Load() {
+				eng.Flush()
+				runtime.Gosched()
+			}
+		}()
+		var wg sync.WaitGroup
+		for w := 0; w < recorders; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				record(w, true)
+			}(w)
+		}
+		wg.Wait()
+		done.Store(true)
+		<-flushed
+		return sink, hm, eng.Counts()
+	}
+	refSink, refHM, refCounts := run(false)
+	conSink, conHM, conCounts := run(true)
+
+	ref, con := refSink.Table().Find(base).Shadow, conSink.Table().Find(base).Shadow
+	for i := range ref {
+		if ref[i] != con[i] {
+			t.Fatalf("shadow[%d] (recorder %d): sequential %08b, concurrent %08b", i, i/words, ref[i], con[i])
+		}
+	}
+	if refCounts != conCounts {
+		t.Errorf("kind counts: sequential %+v, concurrent %+v", refCounts, conCounts)
+	}
+	rh, ch := refHM.Heats(), conHM.Heats()
+	if len(rh) != 1 || len(ch) != 1 {
+		t.Fatalf("heats: sequential %d, concurrent %d", len(rh), len(ch))
+	}
+	if rh[0].Totals != ch[0].Totals {
+		t.Errorf("heat totals: sequential %v, concurrent %v", rh[0].Totals, ch[0].Totals)
+	}
+	for d := range rh[0].Counts {
+		for w := range rh[0].Counts[d] {
+			if rh[0].Counts[d][w] != ch[0].Counts[d][w] {
+				t.Fatalf("heat dev %d word %d: sequential %d, concurrent %d", d, w, rh[0].Counts[d][w], ch[0].Counts[d][w])
+			}
+		}
 	}
 }
