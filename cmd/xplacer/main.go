@@ -25,6 +25,7 @@
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
 	"io"
@@ -43,9 +44,8 @@ import (
 	"xplacer/internal/diag"
 	"xplacer/internal/machine"
 	"xplacer/internal/pattern"
+	"xplacer/internal/pipeline"
 	"xplacer/internal/record"
-	"xplacer/internal/shadow"
-	"xplacer/internal/spill"
 	"xplacer/internal/timeline"
 	"xplacer/internal/whatif"
 	"xplacer/internal/wire"
@@ -83,7 +83,7 @@ func main() {
 		adaptWin  = flag.Duration("adapt-window", 2*time.Millisecond, "with -adapt: minimum simulated time per capture window")
 		adaptThr  = flag.Float64("adapt-threshold", adapt.DefaultMinGainPct, "with -adapt: minimum predicted window gain (percent) before a placement counts toward confirmation")
 		hmEpoch   = flag.Duration("heatmap-epoch", 0, "with -heatmap: close a heat-map epoch every interval of simulated time (e.g. 100us)")
-		budget    = flag.Int("trace-budget", 0, "with -heatmap/-patterns: retain at most this many bytes of trace in memory, spilling the access log to disk and replaying it for the final report (0: unbounded, analyze live)")
+		budget    = flag.Int("trace-budget", 0, "with -heatmap/-patterns: stream the trace to a temporary wire log through a queue of at most this many bytes (raised, like -stream-budget, to two segments: about 320 KiB) and replay the log through a fresh analysis pipeline for the final report; the replay keeps its own shadow table, 1 byte per traced word next to the heat map's 8 (0: unbounded, analyze live)")
 		seed      = flag.Int64("seed", 1, "input seed")
 		stream    = flag.String("stream", "", "stream the trace out-of-process to an xplagg aggregator: host:port dials TCP, file:PATH (or a plain path) writes a trace file for later ingest")
 		streamTen = flag.String("stream-tenant", "default", "with -stream: tenant id in the stream handshake")
@@ -129,26 +129,37 @@ func main() {
 	}
 	var hm *record.HeatmapSink
 	var ps *pattern.Sink
-	var sp *spill.Sink
+	var logFile *os.File
+	var logSink *wire.StreamSink
+	epoch := machine.Duration(hmEpoch.Nanoseconds()) * machine.Nanosecond
 	if *budget > 0 && (*heatmap || *patterns) {
 		// Bounded-memory mode: instead of live heat-map/pattern state, the
-		// drained batches serialize to a spill log capped at -trace-budget
-		// bytes of retained memory, and the analyses replay the log after
-		// the run. The shadow table, findings, and what-if capture are
-		// unaffected — they retain O(allocations), not O(accesses).
-		sp = spill.New(*budget)
-		sp.SetClock(s.Ctx.Now)
-		s.Tracer.EnableSpill(sp)
-		defer sp.Close()
+		// trace goes out as an ordinary wire stream to a temporary log
+		// through a queue capped at -trace-budget bytes, and a fresh
+		// pipeline replays the log after the run. The shadow table,
+		// findings, and what-if capture are unaffected — they retain
+		// O(allocations), not O(accesses).
+		logFile, err = os.CreateTemp("", "xplacer-trace-*.xplt")
+		if err != nil {
+			fatal(err)
+		}
+		defer os.Remove(logFile.Name())
+		defer logFile.Close()
+		logSink, err = wire.NewStreamSink(logFile, wire.Config{
+			Hello:      wire.Hello{Process: *app, Platform: plat.Name},
+			QueueBytes: *budget,
+			Clock:      s.Ctx.Now,
+		})
+		if err != nil {
+			fatal(err)
+		}
+		s.Tracer.EnableStream(logSink)
 	} else {
 		if *heatmap {
 			// Observe access frequencies against the tracer's table; the sink
 			// sees every batch the recording engine drains from here on.
 			hm = record.NewHeatmapSink(s.Tracer.Table())
-			if *hmEpoch > 0 {
-				every := machine.Duration(hmEpoch.Nanoseconds()) * machine.Nanosecond
-				hm.RotateOnClock(every, s.Ctx.Now)
-			}
+			hm.RotateOnClock(epoch, s.Ctx.Now)
 			s.Tracer.AddSink(hm)
 		}
 		if *patterns {
@@ -297,55 +308,20 @@ func main() {
 		}
 	}
 
-	if sp != nil {
-		// Replay the spilled access log into fresh heat-map/pattern sinks,
-		// before the final diagnostic drops freed entries. Replayed accesses
-		// all predate the frees (TraceFree drains first, and the log
-		// preserves drain order), so freed entries are made visible for the
-		// duration of the replay to resolve them the way the live sinks did.
+	if logSink != nil {
+		// Replay the log before the final diagnostic. The pipeline's own
+		// table sees the alloc and free frames in order, so every access
+		// resolves the way it did for the live table.
 		s.Tracer.Flush()
-		var replayNow machine.Duration
-		clock := func() machine.Duration { return replayNow }
+		pl, err := replayLog(logSink, logFile, plat, epoch)
+		if err != nil {
+			fatal(fmt.Errorf("trace log: %w", err))
+		}
 		if *heatmap {
-			hm = record.NewHeatmapSink(s.Tracer.Table())
-			if *hmEpoch > 0 {
-				every := machine.Duration(hmEpoch.Nanoseconds()) * machine.Nanosecond
-				hm.RotateOnClock(every, clock)
-			}
+			hm = pl.Heatmap()
 		}
 		if *patterns {
-			ps = pattern.NewSink(s.Tracer.Table())
-			ps.SetClock(clock)
-		}
-		var freed []*shadow.Entry
-		for _, e := range s.Tracer.Table().Entries() {
-			if e.Freed {
-				e.Freed = false
-				freed = append(freed, e)
-			}
-		}
-		err := sp.Replay(
-			func(b []shadow.Access) {
-				if hm != nil {
-					hm.Apply(b, nil)
-				}
-				if ps != nil {
-					ps.Apply(b, nil)
-				}
-			},
-			func(name string, at machine.Duration) {
-				replayNow = at
-				if ps != nil {
-					ps.BeginSpan(name)
-				}
-			},
-			func(at machine.Duration) { replayNow = at },
-		)
-		for _, e := range freed {
-			e.Freed = true
-		}
-		if err != nil {
-			fatal(err)
+			ps = pl.Patterns()
 		}
 	}
 
@@ -461,6 +437,25 @@ func main() {
 			os.Exit(2)
 		}
 	}
+}
+
+// replayLog closes the -trace-budget log's sink and replays the log
+// through a fresh pipeline. A write error or any dropped segment is
+// fatal: a short log would silently yield a different report.
+func replayLog(ss *wire.StreamSink, f *os.File, plat *machine.Platform, heatEpoch machine.Duration) (*pipeline.Pipeline, error) {
+	if err := ss.Close(); err != nil {
+		return nil, err
+	}
+	if segs, recs, _ := ss.Dropped(); segs > 0 {
+		return nil, fmt.Errorf("dropped %d segment(s): %d records", segs, recs)
+	}
+	if _, err := f.Seek(0, io.SeekStart); err != nil {
+		return nil, err
+	}
+	pl := pipeline.New(plat, heatEpoch)
+	return pl, wire.ReadStream(bufio.NewReader(f), wire.StreamHandler{
+		Hello: func(wire.Hello) (wire.Handler, error) { return pl.Handler(), nil },
+	})
 }
 
 func fatal(err error) {

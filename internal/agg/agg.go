@@ -1,11 +1,11 @@
 // Package agg is the fleet aggregation engine behind cmd/xplagg: it
 // ingests wire-format trace streams from many instrumented client
 // processes — over TCP or from files, through one decoder — and keeps
-// per-process analysis state built from the same consumers an in-process
-// run would use (shadow table via record.TableSink, access-frequency
-// heat map via record.HeatmapSink, per-span pattern classification via
-// pattern.Sink). Snapshots are diag.Report JSON, byte-compatible with
-// `xplacer -json`; internal/goldenreport pins the equivalence.
+// per-process analysis state in one pipeline.Pipeline per (tenant,
+// process): the shadow table, heat map, and pattern classifier an
+// in-process run would use, driven by the decoded frames. Snapshots are
+// diag.Report JSON, byte-compatible with `xplacer -json`;
+// internal/goldenreport pins the equivalence.
 //
 // # Concurrency model
 //
@@ -52,20 +52,13 @@ import (
 	"sync/atomic"
 	"time"
 
-	"xplacer/internal/detect"
 	"xplacer/internal/diag"
 	"xplacer/internal/machine"
-	"xplacer/internal/memsim"
 	"xplacer/internal/pattern"
-	"xplacer/internal/record"
+	"xplacer/internal/pipeline"
 	"xplacer/internal/shadow"
 	"xplacer/internal/wire"
 )
-
-// maxAllocBytes bounds one remote allocation's traced range: the shadow
-// table allocates one byte per 32-bit word, so a hostile alloc frame
-// could otherwise make the aggregator reserve gigabytes.
-const maxAllocBytes = 1 << 30
 
 // Defaults for the tunables (see the Options).
 const (
@@ -100,12 +93,6 @@ func WithSnapshotMaxAge(d time.Duration) Option {
 	return func(g *Aggregator) { g.maxStale = d }
 }
 
-// spanEvent is one kernel-launch marker, kept for Perfetto export.
-type spanEvent struct {
-	Name string
-	At   machine.Duration
-}
-
 // applyItem is one unit on a proc's apply queue: a decoded frame, or a
 // snapshot/sync marker. Items are pooled (Aggregator.item/recycle) so
 // steady-state ingest allocates none.
@@ -137,8 +124,9 @@ const (
 // apply worker at a queue boundary. Readers share it without locks.
 type Snapshot struct {
 	Report diag.Report
-	Spans  []spanEvent
-	Now    machine.Duration
+	// Spans are the stream's kernel-launch spans, for Perfetto export.
+	Spans []pattern.SpanInfo
+	Now   machine.Duration
 
 	// seq is the count of mutation items applied when the snapshot was
 	// built; equal to the proc's enqueue count iff the snapshot reflects
@@ -159,15 +147,9 @@ type Proc struct {
 	g     *Aggregator
 	queue chan *applyItem
 
-	// Worker-owned analysis state (no mutex: single-writer by design).
-	plat  *machine.Platform
-	table *shadow.Table
-	tsink *record.TableSink
-	cur   record.Cursor
-	hm    *record.HeatmapSink
-	ps    *pattern.Sink
-	now   machine.Duration
-	spans []spanEvent
+	// pl is the worker-owned analysis state (no mutex: single-writer by
+	// design).
+	pl *pipeline.Pipeline
 
 	// pub is the last snapshot the worker published.
 	pub atomic.Pointer[Snapshot]
@@ -202,21 +184,15 @@ func newProc(g *Aggregator, h wire.Hello) *Proc {
 		// first known preset.
 		plat, _ = machine.ByName("Intel+Pascal")
 	}
-	table := shadow.NewTable()
 	p := &Proc{
 		Tenant:   h.Tenant,
 		Process:  h.Process,
 		Platform: h.Platform,
 		g:        g,
 		queue:    make(chan *applyItem, g.queueDepth),
-		plat:     plat,
-		table:    table,
-		tsink:    record.NewTableSink(table),
-		hm:       record.NewHeatmapSink(table),
-		ps:       pattern.NewSink(table),
+		pl:       pipeline.New(plat, 0),
 		exited:   make(chan struct{}),
 	}
-	p.ps.SetClock(func() machine.Duration { return p.now })
 	go p.run()
 	return p
 }
@@ -250,9 +226,7 @@ func (p *Proc) run() {
 	}
 }
 
-// apply dispatches one dequeued item. Sink order per batch matches an
-// in-process engine: table first (it owns the cursor), then heat map,
-// then patterns.
+// apply dispatches one dequeued item to the pipeline.
 func (p *Proc) apply(it *applyItem) {
 	switch it.kind {
 	case wire.FrameBatch:
@@ -260,55 +234,21 @@ func (p *Proc) apply(it *applyItem) {
 		p.records.Add(int64(len(it.batch)))
 		p.g.batchesTotal.Add(1)
 		p.g.recordsTotal.Add(int64(len(it.batch)))
-		p.tsink.Apply(it.batch, &p.cur)
-		p.hm.Apply(it.batch, nil)
-		p.ps.Apply(it.batch, nil)
+		p.pl.Batch(it.batch)
 		p.g.batches.Put(it.batch)
 		it.batch = nil
 	case wire.FrameSpan:
-		p.now = it.at
-		p.ps.BeginSpan(it.name)
-		p.spans = append(p.spans, spanEvent{Name: it.name, At: it.at})
+		p.pl.Span(it.name, it.at)
 	case wire.FrameClock:
-		p.now = it.at
+		p.pl.Clock(it.at)
 	case wire.FrameAlloc:
-		a := it.alloc
-		if a.Size < 0 || a.Size > maxAllocBytes {
-			return
-		}
-		// Mirror trace.TraceAlloc's table insert. Overlaps (a client bug,
-		// or replayed address reuse) are skipped rather than fatal: the
-		// aggregator must survive any one client misbehaving.
-		_, _ = p.table.Insert(&memsim.Alloc{
-			ID: a.ID, Base: a.Base, Size: a.Size, Kind: a.Kind, Label: a.Label,
-		}, a.Fn)
+		p.pl.Alloc(it.alloc)
 	case wire.FrameFree:
-		p.table.MarkFreed(it.id)
+		p.pl.Free(it.id)
 	case wire.FrameLabel:
-		if e := p.table.FindByID(it.id); e != nil {
-			e.Label = it.name
-		}
+		p.pl.Label(it.id, it.name)
 	case wire.FrameTransfer:
-		tr := it.tr
-		// Mirror trace.TraceTransfer: the bulk range records as a CPU
-		// write (host-to-device) or read (device-to-host), and the entry's
-		// explicit-transfer byte counters advance.
-		e := p.table.FindByID(tr.ID)
-		if e == nil {
-			p.tsink.AddUntracked(1)
-			return
-		}
-		var tracked bool
-		if tr.Dir == wire.HostToDevice {
-			tracked = p.table.Record(machine.CPU, e.Base+memsim.Addr(tr.Off), tr.N, memsim.Write)
-			e.TransferredIn += tr.N
-		} else {
-			tracked = p.table.Record(machine.CPU, e.Base+memsim.Addr(tr.Off), tr.N, memsim.Read)
-			e.TransferredOut += tr.N
-		}
-		if !tracked {
-			p.tsink.AddUntracked(1)
-		}
+		p.pl.Transfer(it.tr)
 	case itemSnapshot:
 		s := p.publish()
 		if it.snap != nil {
@@ -321,36 +261,19 @@ func (p *Proc) apply(it *applyItem) {
 	}
 }
 
-// publish builds and publishes a fresh snapshot. Worker context only.
+// publish builds and publishes a fresh snapshot. Worker context only —
+// or after Close, when the worker has exited.
 func (p *Proc) publish() *Snapshot {
 	s := &Snapshot{
-		Report: p.buildReport(),
-		Spans:  append([]spanEvent(nil), p.spans...),
-		Now:    p.now,
+		Report: p.pl.Report(p.Key()),
+		Spans:  p.pl.Patterns().Spans()[1:],
+		Now:    p.pl.Now(),
 		seq:    p.app.Load(),
 		at:     time.Now(),
 	}
 	p.pub.Store(s)
 	p.g.snapshotBuilds.Add(1)
 	return s
-}
-
-// buildReport assembles the proc's current diag.Report (the same
-// summaries, findings, heat map, and pattern blocks `xplacer -json`
-// would emit for the equivalent in-process run; kernel attribution needs
-// the client's timeline and is not available remotely). Worker context
-// only — or after Close, when the worker has exited.
-func (p *Proc) buildReport() diag.Report {
-	r := diag.Report{Title: p.Key()}
-	entries := p.table.Entries()
-	for _, e := range entries {
-		r.Allocs = append(r.Allocs, diag.Summarize(e))
-	}
-	r.Findings = detect.Scan(entries, detect.DefaultOptions())
-	r.Heatmap = diag.SummarizeHeatmap(p.hm, 64)
-	r.Patterns = diag.SummarizePatterns(p.ps, p.plat.CoalescePenaltyPct)
-	r.Patterns.AnnotateHeatmap(r.Heatmap)
-	return r
 }
 
 // fresh enqueues a snapshot request and waits for the worker to reach

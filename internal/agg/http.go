@@ -120,14 +120,14 @@ func (g *Aggregator) servePerfetto(w http.ResponseWriter, r *http.Request) {
 	for i, sp := range spans {
 		until := end
 		if i+1 < len(spans) {
-			until = spans[i+1].At
+			until = spans[i+1].Start
 		}
-		if until < sp.At {
-			until = sp.At
+		if until < sp.Start {
+			until = sp.Start
 		}
 		events = append(events, traceEvent{
 			Name: sp.Name, Phase: "X",
-			TS: usOf(sp.At), Dur: usOf(until - sp.At),
+			TS: usOf(sp.Start), Dur: usOf(until - sp.Start),
 			PID: p.Key(), TID: 0,
 		})
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"time"
-	"unsafe"
 
 	"xplacer/internal/machine"
 	"xplacer/internal/memsim"
@@ -14,15 +13,12 @@ import (
 )
 
 // This file measures the recording hot path itself: xplrt's buffered
-// device-scope path against a reference recorder built the way the runtime
-// used to work — one process-global mutex and a full SMT lookup on every
-// access. The workload is the scaling regime the ROADMAP targets: a few
-// hundred live allocations (past the SMT's linear cutoff, so every
-// unbatched Find is a binary search) with each goroutine streaming
-// sequentially through allocations, the access pattern kernels actually
-// produce. The buffered path replaces those per-access lock/search pairs
-// with a local append plus a per-batch last-entry cache hit; on multicore
-// hardware it additionally removes the global serialization.
+// device-scope path. The workload is a few hundred live allocations (past
+// the SMT's linear cutoff, so every unbatched Find is a binary search)
+// with each goroutine streaming sequentially through allocations, the
+// access pattern kernels actually produce. The buffered path replaces
+// per-access lock/search pairs with a local append plus a per-batch
+// last-entry cache hit.
 
 const (
 	hotPathAllocs = 256  // past the SMT's linear cutoff: binary search per Find
@@ -214,64 +210,4 @@ func BulkApplyHotPath(words, total int) (bulkNs, scalarNs float64) {
 	}
 	scalarNs = float64(time.Since(start).Nanoseconds()) / float64(iters*words)
 	return bulkNs, scalarNs
-}
-
-// globalLockRecorder reproduces the pre-sharding runtime design: one
-// process-global mutex around a per-access SMT lookup and shadow update.
-// It is kept as the comparison baseline for BenchmarkTraceOverheadParallel.
-type globalLockRecorder struct {
-	mu    sync.Mutex
-	table *shadow.Table
-}
-
-func (r *globalLockRecorder) access(dev machine.Device, addr uintptr, size int64, kind memsim.AccessKind) {
-	r.mu.Lock()
-	r.table.Record(dev, memsim.Addr(addr), size, kind)
-	r.mu.Unlock()
-}
-
-// GlobalLockHotPath measures the old global-lock design on the same
-// workload and memory layout as TraceHotPath: ns per access.
-func GlobalLockHotPath(goroutines, total int) float64 {
-	if goroutines < 1 {
-		goroutines = 1
-	}
-	r := &globalLockRecorder{table: shadow.NewTable()}
-	slices := make([][]float64, hotPathAllocs)
-	for i := range slices {
-		xs := make([]float64, hotPathWords)
-		base := memsim.Addr(uintptr(unsafe.Pointer(&xs[0])))
-		if _, err := r.table.InsertRange(base, int64(hotPathWords*8), fmt.Sprintf("a%d", i), memsim.Managed, "bench"); err != nil {
-			panic(err)
-		}
-		slices[i] = xs
-	}
-	per := total / goroutines
-	start := time.Now()
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			var sink float64
-			block := g % len(slices)
-			for i := 0; i < per; block = (block + 1) % len(slices) {
-				xs := slices[block]
-				n := hotPathWords
-				if per-i < n {
-					n = per - i
-				}
-				for j := 0; j < n; j++ {
-					p := &xs[j]
-					r.access(machine.GPU, uintptr(unsafe.Pointer(p)), 8, memsim.Read)
-					sink += *p // the program access being traced, like TraceHotPath's
-				}
-				i += n
-			}
-			_ = sink
-		}(g)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	return float64(elapsed.Nanoseconds()) / float64(per*goroutines)
 }

@@ -123,7 +123,7 @@ func (s *Session) Diagnostic(w io.Writer, title string) diag.Report {
 		return diag.Report{Title: title}
 	}
 	s.Ctx.MarkDiagnostic(title)
-	r := diag.Analyze(s.Tracer, title, s.Opt)
+	r := diag.Analyze(s.Tracer.Table().Entries(), title, s.Opt)
 	diag.Attribute(&r, s.Ctx.Timeline(), s.intervalStart, s.Ctx.Now())
 	if w != nil {
 		r.Text(w)

@@ -113,11 +113,10 @@ type Report struct {
 	Adaptive *adapt.Report
 }
 
-// Analyze computes a report over the tracer's shadow memory without
-// resetting it. Table() flushes the tracer's buffered accesses first, so
-// every access recorded before this call is visible to the analysis.
-func Analyze(t *trace.Tracer, title string, opt detect.Options) Report {
-	entries := t.Table().Entries()
+// Analyze computes a report — per-allocation summaries and findings —
+// over shadow entries (a table's Entries, in SMT order) without resetting
+// them. Every front end assembles its reports through it.
+func Analyze(entries []*shadow.Entry, title string, opt detect.Options) Report {
 	r := Report{Title: title}
 	for _, e := range entries {
 		r.Allocs = append(r.Allocs, Summarize(e))
@@ -129,7 +128,7 @@ func Analyze(t *trace.Tracer, title string, opt detect.Options) Report {
 // Print is the tracePrint analog: analyze, write the textual report to w,
 // and reset the interval shadow state.
 func Print(w io.Writer, t *trace.Tracer, title string, opt detect.Options) Report {
-	r := Analyze(t, title, opt)
+	r := Analyze(t.Table().Entries(), title, opt)
 	r.Text(w)
 	t.Table().Reset()
 	return r
@@ -138,7 +137,7 @@ func Print(w io.Writer, t *trace.Tracer, title string, opt detect.Options) Repor
 // FindingsOnly analyzes and resets like Print but emits nothing; for
 // harnesses that collect findings programmatically.
 func FindingsOnly(t *trace.Tracer, opt detect.Options) []detect.Finding {
-	r := Analyze(t, "", opt)
+	r := Analyze(t.Table().Entries(), "", opt)
 	t.Table().Reset()
 	return r.Findings
 }

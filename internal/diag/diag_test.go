@@ -103,7 +103,7 @@ func TestReportTextFig4Shape(t *testing.T) {
 func TestReportCSV(t *testing.T) {
 	tr, a := sim(t, 10)
 	tr.TraceAccess(machine.CPU, a, a.Base, 4, memsim.Write)
-	r := Analyze(tr, "", detect.DefaultOptions())
+	r := Analyze(tr.Table().Entries(), "", detect.DefaultOptions())
 	var b strings.Builder
 	r.CSV(&b)
 	lines := strings.Split(strings.TrimSpace(b.String()), "\n")
@@ -210,7 +210,7 @@ func TestFindingsOnlyResets(t *testing.T) {
 func TestReportFind(t *testing.T) {
 	tr, a := sim(t, 10)
 	tr.TraceAccess(machine.CPU, a, a.Base, 4, memsim.Write)
-	r := Analyze(tr, "", detect.DefaultOptions())
+	r := Analyze(tr.Table().Entries(), "", detect.DefaultOptions())
 	if r.Find("dom") == nil {
 		t.Error("Find(dom) = nil")
 	}
@@ -232,7 +232,7 @@ func TestFreedAllocationAppearsOnce(t *testing.T) {
 		t.Errorf("freed marker missing:\n%s", b.String())
 	}
 	// After the diagnostic, the freed entry is gone.
-	r := Analyze(tr, "", detect.DefaultOptions())
+	r := Analyze(tr.Table().Entries(), "", detect.DefaultOptions())
 	if len(r.Allocs) != 0 {
 		t.Error("freed entry survived the diagnostic")
 	}
@@ -286,7 +286,7 @@ func TestReportJSON(t *testing.T) {
 	tr, a := sim(t, 100)
 	tr.TraceAccess(machine.CPU, a, a.Base, 4, memsim.Write)
 	tr.TraceAccess(machine.GPU, a, a.Base, 4, memsim.Read)
-	r := Analyze(tr, "step 1", detect.DefaultOptions())
+	r := Analyze(tr.Table().Entries(), "step 1", detect.DefaultOptions())
 	var b strings.Builder
 	if err := r.JSON(&b); err != nil {
 		t.Fatal(err)

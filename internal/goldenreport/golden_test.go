@@ -294,28 +294,67 @@ func TestAggregatedReportGoldens(t *testing.T) {
 }
 
 // TestSpillBudgetMatchesUnbounded pins the bounded-memory guarantee's
-// other half: a run whose trace spills to disk under a deliberately tiny
-// -trace-budget must produce the exact same diagnostic JSON — heat map,
-// pattern classes, findings, what-if — as the unbounded live-sink run.
+// other half: a run under a deliberately tiny -trace-budget, whose trace
+// goes to a budgeted wire log that a fresh pipeline replays, must produce
+// the exact same diagnostic JSON — heat map, pattern classes, findings,
+// what-if — as the unbounded live-sink run. Next to -stream, the budget
+// must not change the streamed trace file either.
 func TestSpillBudgetMatchesUnbounded(t *testing.T) {
 	root := repoRoot(t)
-	run := func(extra ...string) []byte {
-		args := append([]string{"run", "./cmd/xplacer", "-app", "sw", "-size", "24",
-			"-json", "-whatif", "-patterns", "-heatmap"}, extra...)
-		cmd := exec.Command(goTool(t), args...)
-		cmd.Dir = root
-		var stdout, stderr bytes.Buffer
-		cmd.Stdout = &stdout
-		cmd.Stderr = &stderr
-		if err := cmd.Run(); err != nil {
-			t.Fatalf("%v: %v\nstderr:\n%s", args, err, stderr.String())
-		}
-		return normalizeReport(t, stdout.Bytes())
+	cli := filepath.Join(t.TempDir(), "xplacer")
+	build := exec.Command(goTool(t), "build", "-o", cli, "./cmd/xplacer")
+	build.Dir = root
+	if out, err := build.CombinedOutput(); err != nil {
+		t.Fatalf("build: %v\n%s", err, out)
 	}
-	unbounded := run()
-	budgeted := run("-trace-budget", "4096")
-	if !bytes.Equal(unbounded, budgeted) {
-		t.Errorf("spill-budget report drifted from the unbounded run:\n%s",
-			diffHint(string(unbounded), string(budgeted)))
+	cases := []struct {
+		name   string
+		args   []string
+		stream bool
+	}{
+		{"sw", []string{"-app", "sw", "-size", "24", "-whatif"}, false},
+		// Mid-run diagnostics drop the freed per-timestep temporaries from
+		// the live table before the run ends; the replay must still
+		// attribute their accesses.
+		{"lulesh-diag-every", []string{"-app", "lulesh", "-size", "4", "-steps", "4", "-diag-every", "1"}, false},
+		// Clock-rotated heat-map epochs close on the replayed stream clock.
+		{"sw-heatmap-epoch", []string{"-app", "sw", "-size", "24", "-heatmap-epoch", "50us"}, false},
+		{"sw-stream", []string{"-app", "sw", "-size", "24"}, true},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			run := func(name string, extra ...string) (report, trace []byte) {
+				args := append([]string{"-json", "-patterns", "-heatmap"}, c.args...)
+				file := filepath.Join(dir, name+".xplt")
+				if c.stream {
+					args = append(args, "-stream", "file:"+file)
+				}
+				cmd := exec.Command(cli, append(args, extra...)...)
+				var stdout, stderr bytes.Buffer
+				cmd.Stdout = &stdout
+				cmd.Stderr = &stderr
+				if err := cmd.Run(); err != nil {
+					t.Fatalf("%v: %v\nstderr:\n%s", cmd.Args, err, stderr.String())
+				}
+				if c.stream {
+					var err error
+					if trace, err = os.ReadFile(file); err != nil {
+						t.Fatal(err)
+					}
+				}
+				return normalizeReport(t, stdout.Bytes()), trace
+			}
+			unbounded, unboundedTrace := run("unbounded")
+			budgeted, budgetedTrace := run("budgeted", "-trace-budget", "4096")
+			if !bytes.Equal(unbounded, budgeted) {
+				t.Errorf("budgeted report drifted from the unbounded run:\n%s",
+					diffHint(string(unbounded), string(budgeted)))
+			}
+			if !bytes.Equal(unboundedTrace, budgetedTrace) {
+				t.Errorf("-stream trace file changed under -trace-budget (%d bytes, unbounded %d)",
+					len(budgetedTrace), len(unboundedTrace))
+			}
+		})
 	}
 }

@@ -5,7 +5,7 @@
 // last-entry SMT lookup cache, enable/disable, flush semantics. The
 // engine owns exactly one implementation of it, parameterized by a small
 // Sink interface, so every observer of the access stream (the canonical
-// shadow-table sink, access heat maps, pattern classifiers, spill logs)
+// shadow-table sink, access heat maps, pattern classifiers, wire streams)
 // plugs in once and works for every front end.
 //
 // # Hot path

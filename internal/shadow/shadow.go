@@ -349,6 +349,26 @@ func (t *Table) Record(dev machine.Device, addr memsim.Addr, size int64, kind me
 	return true
 }
 
+// Transfer applies an explicit copy of n bytes at offset off of the
+// allocation with the given id (§III-C, "Unnecessary data transfers"): a
+// host-to-device copy is a CPU write of the range, a device-to-host copy
+// a CPU read, and the entry's transfer byte counters advance. It reports
+// whether the range was traced; an unknown id is untracked.
+func (t *Table) Transfer(id int, toDevice bool, off, n int64) bool {
+	e := t.byID[id]
+	if e == nil {
+		return false
+	}
+	kind := memsim.Read
+	if toDevice {
+		kind = memsim.Write
+		e.TransferredIn += n
+	} else {
+		e.TransferredOut += n
+	}
+	return t.Record(machine.CPU, e.Base+memsim.Addr(off), n, kind)
+}
+
 // record applies one access to the entry's shadow words; applyWords (see
 // bulk.go) is the single shadow-update terminal shared by Record,
 // RecordAll, and the range collapse.

@@ -255,6 +255,35 @@ func TestFindByIDIndex(t *testing.T) {
 	}
 }
 
+func TestTransfer(t *testing.T) {
+	sp := memsim.NewSpace(4096)
+	tb := NewTable()
+	a := mkAlloc(t, sp, 64, "a")
+	e, _ := tb.Insert(a, "f")
+	// Host-to-device: the copied words read as CPU writes.
+	if !tb.Transfer(a.ID, true, 8, 16) {
+		t.Fatal("host-to-device transfer untracked")
+	}
+	for w, b := range e.Shadow {
+		if in := w >= 2 && w < 6; (b&CPUWrote != 0) != in || b&(ReadCC|ReadGC) != 0 {
+			t.Errorf("after H2D, word %d = %08b", w, b)
+		}
+	}
+	// Device-to-host: the copied words read as CPU reads.
+	if !tb.Transfer(a.ID, false, 0, 8) {
+		t.Fatal("device-to-host transfer untracked")
+	}
+	if e.Shadow[0]&ReadCC == 0 || e.Shadow[0]&CPUWrote != 0 {
+		t.Errorf("after D2H, word 0 = %08b", e.Shadow[0])
+	}
+	if e.TransferredIn != 16 || e.TransferredOut != 8 {
+		t.Errorf("transferred in/out = %d/%d, want 16/8", e.TransferredIn, e.TransferredOut)
+	}
+	if tb.Transfer(a.ID+99, true, 0, 8) {
+		t.Error("transfer to an unknown id counted as tracked")
+	}
+}
+
 func TestFindAnyIncludesFreed(t *testing.T) {
 	sp := memsim.NewSpace(4096)
 	tb := NewTable()

@@ -26,7 +26,6 @@ import (
 	"xplacer/internal/pattern"
 	"xplacer/internal/record"
 	"xplacer/internal/shadow"
-	"xplacer/internal/spill"
 	"xplacer/internal/um"
 	"xplacer/internal/wire"
 )
@@ -64,18 +63,13 @@ type Tracer struct {
 	// and the flush schedule unchanged.
 	patterns *pattern.Sink
 
-	// spill is the optional bounded-memory log sink (EnableSpill). Like
-	// patterns, it makes every kernel launch a drain point, writing a
-	// span marker so replayed streams split at the same boundaries.
-	spill *spill.Sink
-
-	// stream is the optional out-of-process streaming sink (EnableStream).
-	// Besides seeing every drained batch, it receives the shadow-table
+	// streams are the attached wire streaming sinks (EnableStream): an
+	// out-of-process aggregator feed, a budgeted local log, or both.
+	// Besides seeing every drained batch, each receives the shadow-table
 	// life-cycle events (alloc, free, label, transfer) and span markers, so
-	// a remote aggregator can rebuild exactly the state an in-process
-	// TableSink holds. Like patterns/spill, it makes kernel launches drain
-	// points.
-	stream *wire.StreamSink
+	// a consumer can rebuild exactly the state an in-process TableSink
+	// holds. Like patterns, they make kernel launches drain points.
+	streams []*wire.StreamSink
 
 	// Wrapper event counters; element-access kind counts live in the
 	// engine, untracked counts in the sink.
@@ -150,8 +144,11 @@ func (t *Tracer) TraceAlloc(a *memsim.Alloc) {
 	var err error
 	t.eng.Locked(func() {
 		_, err = t.sink.Table().Insert(a, allocFnName(a.Kind))
-		if err == nil && t.stream != nil {
-			t.stream.Alloc(wire.AllocInfo{ID: a.ID, Base: a.Base, Size: a.Size, Kind: a.Kind, Label: a.Label, Fn: allocFnName(a.Kind)})
+		if err != nil {
+			return
+		}
+		for _, ss := range t.streams {
+			ss.Alloc(wire.AllocInfo{ID: a.ID, Base: a.Base, Size: a.Size, Kind: a.Kind, Label: a.Label, Fn: allocFnName(a.Kind)})
 		}
 	})
 	if err != nil {
@@ -170,8 +167,8 @@ func (t *Tracer) TraceFree(a *memsim.Alloc) {
 	t.eng.Flush()
 	t.eng.Locked(func() {
 		t.sink.Table().MarkFreed(a.ID)
-		if t.stream != nil {
-			t.stream.Free(a.ID)
+		for _, ss := range t.streams {
+			ss.Free(a.ID)
 		}
 	})
 }
@@ -191,42 +188,28 @@ func (t *Tracer) TraceAccessRange(dev machine.Device, _ *memsim.Alloc, addr mems
 	t.eng.RecordRange(dev, addr, count, stride, size, kind)
 }
 
-// TraceTransfer implements cuda.Tracer: host-to-device copies are recorded
-// as CPU writes of the range, device-to-host copies as CPU reads (§III-C,
-// "Unnecessary data transfers"). Buffered accesses are flushed first so
-// the transfer's bulk access lands after them. A transfer whose range is
-// not in the SMT counts as untracked, like any other missed access.
+// TraceTransfer implements cuda.Tracer: the copy applies to the shadow
+// table through shadow.Table.Transfer (host-to-device as CPU writes of
+// the range, device-to-host as CPU reads; §III-C, "Unnecessary data
+// transfers"). Buffered accesses are flushed first so the transfer's bulk
+// access lands after them. A transfer whose range is not in the SMT
+// counts as untracked, like any other missed access.
 func (t *Tracer) TraceTransfer(a *memsim.Alloc, dir um.TransferDir, off, n int64) {
 	if !t.eng.Enabled() {
 		return
 	}
 	t.eng.Flush()
+	if dir == um.HostToDevice {
+		t.h2d.Add(1)
+	} else {
+		t.d2h.Add(1)
+	}
 	t.eng.Locked(func() {
-		table := t.sink.Table()
-		e := table.FindByID(a.ID)
-		var tracked bool
-		if dir == um.HostToDevice {
-			t.h2d.Add(1)
-			tracked = table.Record(machine.CPU, a.Base+memsim.Addr(off), n, memsim.Write)
-			if e != nil {
-				e.TransferredIn += n
-			}
-		} else {
-			t.d2h.Add(1)
-			tracked = table.Record(machine.CPU, a.Base+memsim.Addr(off), n, memsim.Read)
-			if e != nil {
-				e.TransferredOut += n
-			}
-		}
-		if !tracked {
+		if !t.sink.Table().Transfer(a.ID, dir == um.HostToDevice, off, n) {
 			t.sink.AddUntracked(1)
 		}
-		if t.stream != nil {
-			dirByte := byte(wire.HostToDevice)
-			if dir == um.DeviceToHost {
-				dirByte = wire.DeviceToHost
-			}
-			t.stream.Transfer(a.ID, dirByte, off, n)
+		for _, ss := range t.streams {
+			ss.Transfer(a.ID, byte(dir), off, n)
 		}
 	})
 }
@@ -253,41 +236,26 @@ func (t *Tracer) EnablePatterns(now func() machine.Duration) *pattern.Sink {
 // Patterns returns the attached pattern sink, or nil.
 func (t *Tracer) Patterns() *pattern.Sink { return t.patterns }
 
-// EnableSpill attaches a bounded-memory spill sink: every batch drained
-// from now on serializes to its log instead of (or in addition to) live
-// analysis state, and kernel launches write span markers into the log so
-// a replay reconstructs the same span attribution a live pattern sink
-// would have seen. Call before recording starts.
-func (t *Tracer) EnableSpill(sp *spill.Sink) {
-	t.eng.AddSink(sp)
-	t.spill = sp
-}
-
-// Spill returns the attached spill sink, or nil.
-func (t *Tracer) Spill() *spill.Sink { return t.spill }
-
-// EnableStream attaches an out-of-process streaming sink: every drained
-// batch, allocation event, free, label, transfer, and kernel-launch span
-// marker is forwarded on the wire, so an aggregator (cmd/xplagg) can
-// rebuild the shadow table and run the same analyses remotely. Call
-// before recording starts; the caller owns Close on the sink after the
-// final flush.
+// EnableStream attaches a wire streaming sink: every drained batch,
+// allocation event, free, label, transfer, and kernel-launch span marker
+// is forwarded on the wire, so a consumer (cmd/xplagg, or the
+// -trace-budget replay) can rebuild the shadow table and run the same
+// analyses through a pipeline.Pipeline. Several sinks may be attached;
+// each sees the same frames. Call before recording starts; the caller
+// owns Close on the sink after the final flush.
 func (t *Tracer) EnableStream(ss *wire.StreamSink) {
 	t.eng.AddSink(ss)
-	t.stream = ss
+	t.streams = append(t.streams, ss)
 }
 
-// Stream returns the attached streaming sink, or nil.
-func (t *Tracer) Stream() *wire.StreamSink { return t.stream }
-
 // TraceKernelLaunch implements cuda.Tracer (the kernel-launch wrapper of
-// Table I). With a pattern or spill sink attached the launch is also a
+// Table I). With a pattern or stream sink attached the launch is also a
 // drain point: buffered accesses flush into the previous span, then the
 // new span opens under the engine lock.
 func (t *Tracer) TraceKernelLaunch(name string) {
 	t.kernels.Add(1)
-	ps, sp, ss := t.patterns, t.spill, t.stream
-	if ps == nil && sp == nil && ss == nil {
+	ps := t.patterns
+	if ps == nil && len(t.streams) == 0 {
 		return
 	}
 	t.eng.Flush()
@@ -295,10 +263,7 @@ func (t *Tracer) TraceKernelLaunch(name string) {
 		if ps != nil {
 			ps.BeginSpan(name)
 		}
-		if sp != nil {
-			sp.Span(name)
-		}
-		if ss != nil {
+		for _, ss := range t.streams {
 			ss.Span(name)
 		}
 	})
@@ -312,8 +277,8 @@ func (t *Tracer) Name(a *memsim.Alloc, label string) {
 		if e := t.sink.Table().FindByID(a.ID); e != nil {
 			e.Label = label
 		}
-		if t.stream != nil {
-			t.stream.Label(a.ID, label)
+		for _, ss := range t.streams {
+			ss.Label(a.ID, label)
 		}
 	})
 }

@@ -153,9 +153,8 @@ type Reader interface {
 	io.ByteReader
 }
 
-// errShort signals a frame that continues past the end of the current
-// buffer. Streaming decoders treat it as "read more input"; payload
-// decoders (where the buffer is the whole input) turn it into
+// errShort signals a frame that continues past the end of the buffer.
+// Frames never span segments, so DecodePayload turns it into
 // io.ErrUnexpectedEOF.
 var errShort = errors.New("wire: short frame")
 
@@ -278,22 +277,22 @@ func (p *BatchPool) Put(b []shadow.Access) {
 	}
 }
 
-// FrameDecoder decodes a frame sequence (no header, no segments — the
-// layer shared by the spill log body and segment payloads). Without a
-// batch pool, the slice passed to Handler.Batch is reused between frames
-// and must not be retained; with SetBatchPool, every batch frame decodes
-// into a fresh pooled slice the handler owns.
+// FrameDecoder decodes the frames of one segment payload (no header, no
+// segment framing; ReadStream handles those). Without a batch pool, the
+// slice passed to Handler.Batch is reused between frames and must not be
+// retained; with SetBatchPool, every batch frame decodes into a fresh
+// pooled slice the handler owns.
 type FrameDecoder struct {
-	r     Reader
 	h     Handler
 	batch []shadow.Access
 	pool  *BatchPool
 }
 
-// NewFrameDecoder returns a decoder reading frames from r. r may be nil
-// when the decoder is only used through DecodePayload.
-func NewFrameDecoder(r Reader, h Handler) *FrameDecoder {
-	return &FrameDecoder{r: r, h: h}
+// NewFrameDecoder returns a decoder dispatching to h. Frames are decoded
+// from in-memory payloads (DecodePayload), so the reader argument is
+// unused; pass nil.
+func NewFrameDecoder(_ Reader, h Handler) *FrameDecoder {
+	return &FrameDecoder{h: h}
 }
 
 // SetBatchPool switches the decoder to pooled-batch mode: each batch
@@ -316,49 +315,6 @@ func (d *FrameDecoder) DecodePayload(p []byte) error {
 		return fmt.Errorf("wire: truncated frame: %w", io.ErrUnexpectedEOF)
 	}
 	return err
-}
-
-// maxFrameBytes over-estimates the largest encodable frame: a full batch
-// frame at worst-case varint widths (~27 bytes/record), with headroom
-// for the name-carrying frames. Run's carry buffer is bounded by one
-// refill chunk beyond it.
-const maxFrameBytes = 27*MaxFrameRecords + 4096
-
-// Run decodes frames from the decoder's reader until a clean end of
-// input, returning the first error. EOF between frames is the clean end;
-// EOF inside a frame is io.ErrUnexpectedEOF. Input is consumed in
-// chunks; only the trailing partial frame is carried between reads.
-func (d *FrameDecoder) Run() error {
-	buf := make([]byte, 0, 64<<10)
-	for {
-		if len(buf) == cap(buf) { // partial frame filled the buffer: grow
-			if cap(buf) >= maxFrameBytes+64<<10 {
-				return fmt.Errorf("wire: frame exceeds %d bytes", maxFrameBytes)
-			}
-			next := make([]byte, len(buf), 2*cap(buf))
-			copy(next, buf)
-			buf = next
-		}
-		n, rerr := d.r.Read(buf[len(buf):cap(buf)])
-		buf = buf[:len(buf)+n]
-		if rerr != nil && rerr != io.EOF {
-			return rerr
-		}
-		consumed, err := d.decodeAll(buf)
-		if err == errShort {
-			err = nil
-			if rerr == io.EOF {
-				return fmt.Errorf("wire: truncated frame: %w", io.ErrUnexpectedEOF)
-			}
-		}
-		if err != nil {
-			return err
-		}
-		buf = buf[:copy(buf, buf[consumed:])]
-		if rerr == io.EOF {
-			return nil // decodeAll consumed everything
-		}
-	}
 }
 
 // decodeAll decodes and dispatches every complete frame in p, returning

@@ -163,6 +163,12 @@ func TestStreamRoundTrip(t *testing.T) {
 			want = append(want, event{kind: "free", id: i})
 		}
 	}
+	// A batch over MaxFrameRecords splits across frames and decodes back
+	// intact.
+	clock += 50
+	big := sampleBatch(MaxFrameRecords+100, 0x200000)
+	ss.Apply(big, nil)
+	want = append(want, event{kind: "clock", at: clock}, event{kind: "batch", batch: big})
 	if err := ss.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -1,30 +1,27 @@
-// Package wire is XPlacer's versioned binary trace format — the frame
-// encoding internal/spill introduced for bounded-memory logs, promoted
-// into a transport: the same frames that spill to disk can stream over a
-// socket to a long-running aggregator (cmd/xplagg), so one analysis
-// process can serve many instrumented client processes.
+// Package wire is XPlacer's versioned binary trace format: the one log
+// format every trace consumer reads. The same stream goes to a trace
+// file for later ingest, over a socket to a long-running aggregator
+// (cmd/xplagg), or to the temporary log `xplacer -trace-budget` replays;
+// each consumer decodes it into a pipeline.Pipeline.
 //
 // The format has three layers:
 //
-//  1. Header: every log or stream starts with the 4-byte magic "XPLT"
-//     followed by a uvarint format version. Decoders reject unknown
-//     versions with an error naming the found and supported versions, so
-//     a stale aggregator fails loudly instead of misparsing.
+//  1. Header: every stream starts with the 4-byte magic "XPLT" followed
+//     by a uvarint format version. Decoders reject unknown versions with
+//     an error naming the found and supported versions, so a stale
+//     aggregator fails loudly instead of misparsing.
 //
-//  2. Frames: the unit of trace content, shared verbatim between the
-//     on-disk spill log and the network stream. Each frame is a one-byte
-//     tag plus varint-encoded fields; batch frames delta-encode addresses
+//  2. Frames: the unit of trace content. Each frame is a one-byte tag
+//     plus varint-encoded fields; batch frames delta-encode addresses
 //     against the previous record of the same frame, so a coalesced sweep
 //     costs a handful of bytes. See the tag constants for the per-frame
 //     layouts.
 //
-//  3. Segments (stream transport only): frames are grouped into
-//     checksummed segments — tag, uvarint payload length, payload, CRC-32
-//     (IEEE) of the payload — bracketed by a hello segment carrying the
-//     client's tenant/process identity and platform preset, and a bye
-//     segment carrying exact sent/dropped totals for loss accounting.
-//     The on-disk spill log skips this layer: it is written and replayed
-//     by one process, so framing and checksums would buy nothing.
+//  3. Segments: frames are grouped into checksummed segments — tag,
+//     uvarint payload length, payload, CRC-32 (IEEE) of the payload —
+//     bracketed by a hello segment carrying the client's tenant/process
+//     identity and platform preset, and a bye segment carrying exact
+//     sent/dropped totals for loss accounting.
 //
 // Decoding is allocation-bounded by construction: batch frames carry at
 // most MaxFrameRecords records, names and labels at most MaxNameLen
@@ -39,14 +36,14 @@ import (
 	"io"
 )
 
-// Magic identifies an XPlacer trace log or stream.
+// Magic identifies an XPlacer trace stream.
 const Magic = "XPLT"
 
 // Version is the current format version. History:
 //
-//	1 — initial versioned format: batch/span/clock frames (the PR 7 spill
-//	    log layout, now behind the header), alloc/free/label/transfer
-//	    frames, and the hello/frames/bye segment transport.
+//	1 — initial versioned format: batch/span/clock frames,
+//	    alloc/free/label/transfer frames, and the hello/frames/bye
+//	    segment transport.
 const Version = 1
 
 // Decode limits. Every length field is checked against these before any
@@ -61,9 +58,9 @@ const (
 	MaxSegmentBytes = 1 << 20
 )
 
-// Frame tags. Batch, span, and clock keep the values the spill log has
-// used since it was introduced; the stream-era frames extend the set so
-// an aggregator can rebuild the client's shadow table remotely.
+// Frame tags. Batch, span, and clock carry the access stream; alloc,
+// free, label, and transfer carry the shadow-table life cycle, so a
+// consumer can rebuild the client's shadow table.
 const (
 	// FrameBatch: uvarint record count, then per record dev byte, kind
 	// byte, uvarint size, svarint address delta (against the previous

@@ -538,7 +538,7 @@ func TracePrint(w io.Writer, data ...AllocData) {
 				e.Label = d.Name
 			}
 		}
-		r := report(table, rt.opt)
+		r := diag.Analyze(table.Entries(), "", rt.opt)
 		if w != nil {
 			r.Text(w)
 		}
@@ -553,19 +553,9 @@ func Report() diag.Report {
 	var r diag.Report
 	rt.eng.Locked(func() {
 		table := rt.sink.Table()
-		r = report(table, rt.opt)
+		r = diag.Analyze(table.Entries(), "", rt.opt)
 		table.Reset()
 	})
-	return r
-}
-
-// report assembles a diag.Report from the live table.
-func report(t *shadow.Table, opt detect.Options) diag.Report {
-	var r diag.Report
-	for _, e := range t.Entries() {
-		r.Allocs = append(r.Allocs, diag.Summarize(e))
-	}
-	r.Findings = detect.Scan(t.Entries(), opt)
 	return r
 }
 
