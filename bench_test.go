@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/rand"
 	"runtime"
 	"strings"
 	"sync"
@@ -20,7 +21,12 @@ import (
 
 	"xplacer/internal/agg"
 	"xplacer/internal/bench"
+	"xplacer/internal/detect"
+	"xplacer/internal/diag"
 	"xplacer/internal/machine"
+	"xplacer/internal/memsim"
+	"xplacer/internal/shadow"
+	"xplacer/xplrt"
 )
 
 // reportSpeedups attaches each row's factor as a custom metric.
@@ -259,6 +265,75 @@ func BenchmarkShadowBulkApply(b *testing.B) {
 	if bulk > 0 {
 		b.ReportMetric(scalar/bulk, "bulk_speedup_x")
 	}
+}
+
+// BenchmarkSlotRecord measures the engine's slot path as instrumented
+// plain Go reaches it: scope-less xplrt.TraceR/TraceW calls on one
+// goroutine, drains into the shadow table included. Interleaved is
+// LULESH's shape, x[i] = y[i] + z[i] over three arrays, so consecutive
+// accesses alternate between allocations; Contiguous is one write sweep,
+// the shape of an initialization loop, whose accesses coalesce into run
+// records. The metric is ns per traced access.
+func BenchmarkSlotRecord(b *testing.B) {
+	const n = 1 << 16
+	xplrt.Reset()
+	defer xplrt.Reset()
+	x, y, z := xplrt.Slice[float64](n, "x"), xplrt.Slice[float64](n, "y"), xplrt.Slice[float64](n, "z")
+	b.Run("Interleaved", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			j := i & (n - 1)
+			*xplrt.TraceW(&x[j]) = *xplrt.TraceR(&y[j]) + *xplrt.TraceR(&z[j])
+		}
+		xplrt.Flush()
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(3*b.N), "ns_per_access")
+	})
+	b.Run("Contiguous", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			*xplrt.TraceW(&x[i&(n-1)]) = 1
+		}
+		xplrt.Flush()
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns_per_access")
+	})
+}
+
+// analyzeSink keeps BenchmarkDiagAnalyze's result live.
+var analyzeSink diag.Report
+
+// BenchmarkDiagAnalyze measures one diagnostic's analysis — per-entry
+// summaries and findings, diag.Analyze — over 256 allocations of 4096
+// words (2^20 shadow words) holding a seeded mix of shadow states. The
+// metric is ns per shadow word.
+func BenchmarkDiagAnalyze(b *testing.B) {
+	const allocs, words = 256, 4096
+	rng := rand.New(rand.NewSource(1))
+	table := shadow.NewTable()
+	for i := 0; i < allocs; i++ {
+		kind := memsim.Managed
+		if i%4 == 3 {
+			kind = memsim.DeviceOnly
+		}
+		e, err := table.InsertRange(memsim.Addr(0x1000000+i*2*words*shadow.WordSize), words*shadow.WordSize, fmt.Sprintf("a%d", i), kind, "bench")
+		if err != nil {
+			b.Fatal(err)
+		}
+		// Untouched stretches, single-device stretches and mixed words.
+		for w := range e.Shadow {
+			switch rng.Intn(4) {
+			case 0:
+			case 1:
+				e.Shadow[w] = shadow.GPUWrote | shadow.LastWriterGPU | shadow.ReadGG
+			default:
+				e.Shadow[w] = byte(rng.Intn(128))
+			}
+		}
+		e.EverTouched = true
+	}
+	opt := detect.DefaultOptions()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		analyzeSink = diag.Analyze(table.Entries(), "", opt)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*allocs*words), "ns_per_word")
 }
 
 // BenchmarkWireIngest measures the fleet aggregator's pipelined

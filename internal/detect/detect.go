@@ -149,48 +149,29 @@ func DefaultOptions() Options {
 	return Options{DensityThresholdPct: 50, MinBlockWords: 32}
 }
 
-// touched reports whether the shadow byte saw any access this interval
-// (the surviving last-writer bit alone does not count).
-func touched(b byte) bool { return b&^shadow.LastWriterGPU != 0 }
-
-// cpuTouched / gpuTouched report per-device activity in the interval.
-func cpuTouched(b byte) bool {
-	return b&(shadow.CPUWrote|shadow.ReadCC|shadow.ReadGC) != 0
-}
-
-func gpuTouched(b byte) bool {
-	return b&(shadow.GPUWrote|shadow.ReadCG|shadow.ReadGG) != 0
-}
-
-func anyWrite(b byte) bool { return b&(shadow.CPUWrote|shadow.GPUWrote) != 0 }
-
 // Alternating counts the managed-memory words of e accessed by both
 // devices with at least one write (§III-C "Alternating CPU/GPU accesses").
-func Alternating(e *shadow.Entry) int {
+func Alternating(e *shadow.Entry) int { return AlternatingOf(e, e.Census()) }
+
+// AlternatingOf is Alternating over a census already taken of e.
+func AlternatingOf(e *shadow.Entry, c shadow.Census) int {
 	if e.Kind != memsim.Managed {
 		return 0
 	}
-	n := 0
-	for _, b := range e.Shadow {
-		if cpuTouched(b) && gpuTouched(b) && anyWrite(b) {
-			n++
-		}
-	}
-	return n
+	return c.Alternating
 }
 
 // Density returns the touched word count and the access density of e in
-// percent (0..100).
-func Density(e *shadow.Entry) (touchedWords, pct int) {
-	for _, b := range e.Shadow {
-		if touched(b) {
-			touchedWords++
-		}
-	}
+// percent (0..100). A word counts as touched when any access hit it this
+// interval; the surviving last-writer bit alone does not count.
+func Density(e *shadow.Entry) (touchedWords, pct int) { return DensityOf(e, e.Census()) }
+
+// DensityOf is Density over a census already taken of e.
+func DensityOf(e *shadow.Entry, c shadow.Census) (touchedWords, pct int) {
 	if len(e.Shadow) == 0 {
 		return 0, 0
 	}
-	return touchedWords, touchedWords * 100 / len(e.Shadow)
+	return c.Touched, c.Touched * 100 / len(e.Shadow)
 }
 
 // runs collects maximal contiguous word ranges of e satisfying pred, of at
@@ -222,16 +203,18 @@ func runs(e *shadow.Entry, minWords int, pred func(byte) bool) []Block {
 func Scan(entries []*shadow.Entry, opt Options) []Finding {
 	var out []Finding
 	for _, e := range entries {
-		out = append(out, ScanEntry(e, opt)...)
+		out = append(out, ScanCensus(e, e.Census(), opt)...)
 	}
 	return out
 }
 
-// ScanEntry runs all detectors over a single allocation.
-func ScanEntry(e *shadow.Entry, opt Options) []Finding {
+// ScanCensus runs all detectors over a single allocation, given a census
+// already taken of it, so a diagnostic that also summarizes e counts its
+// shadow bytes once.
+func ScanCensus(e *shadow.Entry, c shadow.Census, opt Options) []Finding {
 	var out []Finding
 
-	touchedWords, pct := Density(e)
+	touchedWords, pct := DensityOf(e, c)
 
 	// Unused allocation: nothing touched it since it was created. The
 	// cumulative flag (not the per-interval shadow bits) decides, so
@@ -247,7 +230,7 @@ func ScanEntry(e *shadow.Entry, opt Options) []Finding {
 	}
 
 	// Alternating accesses (managed memory only, §III-A).
-	if alt := Alternating(e); alt > 0 {
+	if alt := AlternatingOf(e, c); alt > 0 {
 		out = append(out, Finding{
 			Kind:    AlternatingAccess,
 			Alloc:   e.Label,

@@ -52,41 +52,30 @@ type AllocSummary struct {
 }
 
 // Summarize computes the summary of one shadow entry.
-func Summarize(e *shadow.Entry) AllocSummary {
+func Summarize(e *shadow.Entry) AllocSummary { return summarize(e, e.Census()) }
+
+// summarize is Summarize over a census already taken of e.
+func summarize(e *shadow.Entry, c shadow.Census) AllocSummary {
 	s := AllocSummary{
 		Label:          e.Label,
 		AllocID:        e.AllocID,
 		Kind:           e.Kind,
 		Words:          e.Words(),
 		Freed:          e.Freed,
-		Alternating:    detect.Alternating(e),
+		WriteC:         c.CPUWrote,
+		WriteG:         c.GPUWrote,
+		ReadCC:         c.ReadCC,
+		ReadCG:         c.ReadCG,
+		ReadGC:         c.ReadGC,
+		ReadGG:         c.ReadGG,
+		Alternating:    detect.AlternatingOf(e, c),
 		TransferredIn:  e.TransferredIn,
 		TransferredOut: e.TransferredOut,
 	}
 	if s.Label == "" {
 		s.Label = fmt.Sprintf("alloc#%d", e.AllocID)
 	}
-	for _, b := range e.Shadow {
-		if b&shadow.CPUWrote != 0 {
-			s.WriteC++
-		}
-		if b&shadow.GPUWrote != 0 {
-			s.WriteG++
-		}
-		if b&shadow.ReadCC != 0 {
-			s.ReadCC++
-		}
-		if b&shadow.ReadCG != 0 {
-			s.ReadCG++
-		}
-		if b&shadow.ReadGC != 0 {
-			s.ReadGC++
-		}
-		if b&shadow.ReadGG != 0 {
-			s.ReadGG++
-		}
-	}
-	s.TouchedWords, s.DensityPct = detect.Density(e)
+	s.TouchedWords, s.DensityPct = detect.DensityOf(e, c)
 	return s
 }
 
@@ -115,13 +104,18 @@ type Report struct {
 
 // Analyze computes a report — per-allocation summaries and findings —
 // over shadow entries (a table's Entries, in SMT order) without resetting
-// them. Every front end assembles its reports through it.
+// them. Every front end assembles its reports through it. It takes one
+// census per entry and hands it to both the summary and the detectors,
+// so all their counts come from one pass over the entry's shadow bytes
+// (the transfer detectors still walk an explicitly copied allocation's
+// words for their blocks).
 func Analyze(entries []*shadow.Entry, title string, opt detect.Options) Report {
 	r := Report{Title: title}
 	for _, e := range entries {
-		r.Allocs = append(r.Allocs, Summarize(e))
+		c := e.Census()
+		r.Allocs = append(r.Allocs, summarize(e, c))
+		r.Findings = append(r.Findings, detect.ScanCensus(e, c, opt)...)
 	}
-	r.Findings = detect.Scan(entries, opt)
 	return r
 }
 

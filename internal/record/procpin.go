@@ -9,7 +9,7 @@ import (
 // would stall the scheduler — so the returned id can be stale by the time
 // it is used. That is fine: the id only picks which buffer slot to try
 // first, and correctness never depends on it (slots are CAS-locked and
-// drain order is restored by sequence stamps).
+// drain order is restored by order stamps).
 //
 // procPin/procUnpin are the runtime's own mechanism behind sync.Pool's
 // per-P caches; linking them directly is the same trick, minus Pool's

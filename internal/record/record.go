@@ -15,18 +15,31 @@
 // recorders land on different slots and touch no shared cache lines —
 // unlike the previous design, which sharded buffers by *address* and made
 // two goroutines sweeping the same allocation fight over one shard lock.
-// Each appended record carries a global sequence stamp; the drain sweep
-// gathers the occupied slots and merges the records back into stamp order
-// before the sinks see them, so the per-word ordering the detectors
-// depend on is reconstructed at drain time instead of being imposed on
-// the hot path.
+// Each record carries a global order stamp, and the drain sweep gathers
+// the occupied slots and merges the records back into stamp order before
+// the sinks see them, so the per-word ordering the detectors depend on is
+// reconstructed at drain time instead of being imposed on the hot path.
+//
+// A stamp numbers a run of records, not one record. Under the slot lock
+// a recorder loads the stamp counter; if it still equals the slot's last
+// stamp, no record anywhere has been stamped since, and the new record
+// reuses that stamp. Only otherwise does it take a fresh stamp, an atomic
+// increment. A stamp value therefore belongs to one slot and repeats only
+// there, in position order, and records are ordered by (stamp, position).
+// The same check lets the slot coalesce: with no record stamped anywhere
+// since its last one, a scalar access that contiguously continues that
+// record grows it into a run (extendRun) instead of adding a record. A
+// slot sweeps after slotCap Record and RecordRange calls, however few
+// records they left, so sweeps fire where they would if every call were
+// a record of its own. Kind counts are derived from the drained records,
+// not bumped per access.
 //
 // A Buffer is the still-cheaper variant for single-owner
 // (goroutine-private) recording, used by xplrt's DeviceScope: it needs
 // neither slot selection nor stamps, because one owner appending in
 // program order and applying the whole buffer as one batch is already
-// ordered. Neither path touches a sink until a buffer fills or a flush
-// point is reached.
+// ordered. It coalesces with the same rule. Neither path touches a sink
+// until a buffer fills or a flush point is reached.
 //
 // # Occupied-slot sweep
 //
@@ -35,7 +48,7 @@
 // to drain. Three rules keep that partial sweep exact:
 //
 //   - A recorder sets its slot's bit under the slot lock, before it takes
-//     the record's sequence stamp.
+//     the record's stamp.
 //   - A sweep clears a bit only while it holds that slot's lock.
 //   - After locking the slots it read from the mask, a sweep reads the
 //     mask again and locks any new bits, until a read shows none.
@@ -45,10 +58,17 @@
 // A record stamped before the cut had its bit set then, and the bit stays
 // set until this sweep clears it, so the sweep locked its slot; the
 // recorder's critical section cannot overlap the sweep's hold, so the
-// record is gathered. The stamp counter is one atomic, so the gathered
-// set is a prefix of the stamps: no record left behind has a smaller
-// stamp than one that drains, whatever slots its goroutine hopped
-// between.
+// record is gathered. So a record r that the sweep leaves behind was
+// stamped after the cut, and it cannot precede any record d that drains
+// in (stamp, position) order. If r took a fresh stamp, the counter issued
+// it after every stamp d can carry. If r reused a stamp, the counter
+// still showed that stamp when r was recorded, after the cut, so it is
+// the largest stamp issued yet: no smaller than d's. Nor equal: equal
+// stamps share a slot, and the sweep that drained d emptied that slot and
+// zeroed its last stamp, so the slot's next record took a fresh one.
+// Either way no record left behind precedes one that drains, whatever
+// slots its goroutine hopped between: every sweep drains a prefix of the
+// (stamp, position) order.
 //
 // # Flush ordering guarantees
 //
@@ -56,8 +76,8 @@
 //
 //  1. For any single word, accesses recorded through Record/RecordRange
 //     apply to the sinks in recording order. (The drain merge restores
-//     global sequence order, which is stronger: the entire Record stream
-//     applies in the order the stamps were taken.)
+//     global (stamp, position) order, which is stronger: the entire
+//     Record stream applies in the order the stamps were taken.)
 //  2. Flush drains every occupied slot; after it returns, everything
 //     recorded through Record before the call is visible to the sinks.
 //  3. A Buffer drain flushes the shared slots first, so accesses
@@ -93,9 +113,10 @@ const (
 	// contended or stolen slot falls over to the next free one. It is
 	// also the width of the engine's occupied-slot mask.
 	NumSlots = 64
-	// slotCap is the per-slot buffer capacity; a slot filling up triggers
-	// an engine sweep (per-word ordering needs the merge, so slots cannot
-	// drain individually).
+	// slotCap is the per-slot buffer capacity and the number of Record
+	// and RecordRange calls after which a slot triggers an engine sweep
+	// (per-word ordering needs the merge, so slots cannot drain
+	// individually).
 	slotCap = 1024
 	// bufferCap is the per-Buffer capacity. Buffers are goroutine-private;
 	// the capacity stays modest (24 KiB of records) so that the buffers of
@@ -120,21 +141,47 @@ func clampSize(size int64) int32 {
 	return int32(size)
 }
 
-// appendScalar writes one scalar access into the next slot of buf, which
-// must have spare capacity, and returns the extended slice. Field-by-field
-// slot assignment instead of appending a 6-field struct literal: the
-// literal makes the compiler materialize the Access on the stack with
-// narrow stores and reload it with wide ones — a store-forwarding stall
-// on every access that measurably slows the scalar hot path. Direct slot
-// stores keep it at the pre-range cost.
-func appendScalar(buf []shadow.Access, dev machine.Device, addr memsim.Addr, size int64, kind memsim.AccessKind) []shadow.Access {
-	n := len(buf)
-	buf = buf[:n+1]
-	a := &buf[n]
+// setScalar writes one scalar access into a. Field-by-field stores
+// instead of assigning a 6-field struct literal: the literal makes the
+// compiler materialize the Access on the stack with narrow stores and
+// reload it with wide ones — a store-forwarding stall on every access
+// that measurably slows the scalar hot path.
+func setScalar(a *shadow.Access, dev machine.Device, addr memsim.Addr, size int64, kind memsim.AccessKind) {
 	a.Dev, a.Kind, a.Size = dev, kind, clampSize(size)
 	a.Addr = addr
 	a.Count, a.Stride = 0, 0
-	return buf
+}
+
+// extendRun is the append-time coalescing rule both recording paths
+// share: a scalar access that contiguously continues record p — same
+// device, kind and element size, starting exactly where p's coverage
+// ends — grows p's run count instead of becoming a record of its own,
+// and extendRun reports whether it did. The caller has checked the
+// start: each path keeps the end of its last record's last element
+// (Buffer.next, pslot.next), so an access elsewhere — a random gather —
+// costs one compare and never loads the record. Only gapless
+// shapes grow: a scalar, or a contiguous (stride == size) run below
+// maxRun elements; a gapped run's next element would not start at its
+// end. A sweep of N contiguous elements then occupies one RLE record
+// instead of N scalars. Exact per word: a contiguous run replays element
+// by element with one device and kind (shadow.Entry.recordRange,
+// HeatmapSink.countRun, pattern.Tracker.NoteRun), so per-word results and
+// per-element counts equal the scalar explosion's. Zero and negative
+// sizes never grow: a zero-size scalar can touch a word that a zero-size
+// run does not.
+func extendRun(p *shadow.Access, dev machine.Device, size int64, kind memsim.AccessKind) bool {
+	if int64(p.Size) != size || p.Dev != dev || p.Kind != kind || size <= 0 {
+		return false
+	}
+	if p.Count <= 1 {
+		p.Count, p.Stride = 2, p.Size
+		return true
+	}
+	if p.Stride != p.Size || p.Count == maxRun {
+		return false
+	}
+	p.Count++
+	return true
 }
 
 // Cursor carries per-buffer sink state across batch applies: the
@@ -164,36 +211,28 @@ type Counts struct {
 	Reads, Writes, ReadWrites int64
 }
 
-// kindCounts is the per-slot/per-buffer tally, indexed by AccessKind so
-// the hot path pays one branch-free increment instead of a switch; slot 3
-// (out-of-range kinds) merges into ReadWrites like the sinks treat them.
-// n is the number of element accesses the record represents: 1 for a
-// scalar, the element count for a run-length-encoded range, so the tallies
-// stay per-element exact either way.
-type kindCounts [4]int64
-
-func (c *kindCounts) add(kind memsim.AccessKind, n int64) { c[kind&3] += n }
-
-func (c *kindCounts) empty() bool { return *c == kindCounts{} }
-
-// mergeInto folds the tally into the engine's totals and zeroes it.
-func (c *kindCounts) mergeInto(e *Engine) {
-	e.reads.Add(c[memsim.Read])
-	e.writes.Add(c[memsim.Write])
-	e.readWrites.Add(c[memsim.ReadWrite] + c[3])
-	*c = kindCounts{}
-}
-
-// pslot is one execution-local buffer: the access records, their global
-// sequence stamps (parallel slices), and the slot's kind counters. The
-// leading pad keeps concurrently-owned slots off each other's cache
-// lines — the whole point of per-P buffering.
+// pslot is one execution-local buffer: the access records and their
+// order stamps (parallel arrays of fixed length slotCap once allocated,
+// filled up to n), the stamp of the slot's last record, and the number
+// of Record and recordRun calls since the slot last drained. The call
+// count, not n, is the fill trigger: a coalesced scalar adds a call but
+// no record, and counting calls keeps every sweep where it would be if
+// each call were a record of its own. The hot path writes only these
+// integers and the records' plain fields — no slice header, so no GC
+// write barrier. The leading pad keeps concurrently-owned slots off each
+// other's cache lines — the whole point of per-P buffering.
 type pslot struct {
-	_    [64]byte
-	held atomic.Bool
+	_        [64]byte
+	held     atomic.Bool
+	n, calls int
+	// last is the stamp of the slot's last record, 0 while the slot is
+	// empty (a sweep or reset zeroes it with n and calls).
+	last uint64
+	// next is where an access must start to continue the last record:
+	// the end of its last element.
+	next memsim.Addr
 	buf  []shadow.Access
 	seq  []uint64
-	cnt  kindCounts
 }
 
 // tryLock attempts to take slot ownership without blocking.
@@ -201,6 +240,24 @@ func (s *pslot) tryLock() bool { return s.held.CompareAndSwap(false, true) }
 
 // unlock releases slot ownership.
 func (s *pslot) unlock() { s.held.Store(false) }
+
+// stamp returns the order stamp for the record the caller, holding s,
+// adds next, and whether it reuses the slot's last stamp. The stamp is
+// reused while the engine counter still equals it: then no record
+// anywhere has been stamped since the slot's last one, so the new record
+// follows that one directly in the global order and position within the
+// slot orders the two. Otherwise a fresh stamp is taken.
+func (s *pslot) stamp(seq *atomic.Uint64) (q uint64, reused bool) {
+	if q = seq.Load(); q != 0 && q == s.last {
+		return q, true
+	}
+	q = seq.Add(1)
+	s.last = q
+	return q, false
+}
+
+// empty discards the slot's records; the caller holds the slot.
+func (s *pslot) empty() { s.n, s.calls, s.last = 0, 0, 0 }
 
 // Engine is the concurrency-safe recording engine. Record may be called
 // from concurrent goroutines; sink application happens in batches under
@@ -230,9 +287,12 @@ type Engine struct {
 	// Buffer drains in scope-only workloads (no slot-path recording at
 	// all) pay no slot lock for ordering guarantee 3.
 	occupied atomic.Uint64
-	// seq issues the global per-record order stamps the drain merge sorts
-	// by. Stamps are taken while holding a slot lock, so within one slot
-	// they are strictly increasing and the merge input is a set of sorted
+	// seq issues the global order stamps the drain merge orders by. A
+	// stamp numbers a run of records, not one record: a slot reuses its
+	// last stamp while no other stamp has been taken (pslot.stamp), so a
+	// stamp value belongs to one slot and repeats only there, in position
+	// order. Stamps are taken while holding a slot lock, so within one
+	// slot they never decrease and the merge input is a set of sorted
 	// runs.
 	seq atomic.Uint64
 
@@ -273,33 +333,33 @@ func (e *Engine) SetEnabled(on bool) { e.disabled.Store(!on) }
 func (e *Engine) Enabled() bool { return !e.disabled.Load() }
 
 // lockSlot picks and locks an execution-local slot with room for one
-// record: the current P's slot when free (the uncontended common case —
-// one cache line no other P is writing), otherwise the next free slot.
+// more call: the current P's slot when free (the uncontended common case
+// — one cache line no other P is writing), otherwise the next free slot.
 // The pin is released before the CAS, so the hint can go stale under
-// migration; that costs locality, not correctness — the sequence stamps
+// migration; that costs locality, not correctness — the order stamps
 // restore order at drain time. The search never blocks on a held slot (a
 // preempted holder must not stall recording); after a full empty circuit
 // it yields the processor.
 //
-// A slot is never handed out full. The recorder that fills a slot
-// releases it before flushing, so another recorder can take it in
-// between; that one releases it, flushes too and searches again. A slot
-// handed out empty is marked occupied before lockSlot returns, so the
-// caller's stamp is taken after its bit is set.
+// A slot is never handed out full (slotCap calls since its last drain).
+// The recorder that fills a slot releases it before flushing, so another
+// recorder can take it in between; that one releases it, flushes too and
+// searches again. A slot handed out empty is marked occupied before
+// lockSlot returns, so the caller's stamp is taken after its bit is set.
 func (e *Engine) lockSlot() *pslot {
 	i := procHint() % NumSlots
 	for spins := 1; ; spins++ {
 		s := &e.slots[i]
 		if s.tryLock() {
-			switch n := len(s.buf); {
-			case n == 0:
-				if cap(s.buf) == 0 {
-					s.buf = make([]shadow.Access, 0, slotCap)
-					s.seq = make([]uint64, 0, slotCap)
+			switch {
+			case s.calls == 0:
+				if s.buf == nil {
+					s.buf = make([]shadow.Access, slotCap)
+					s.seq = make([]uint64, slotCap)
 				}
 				e.mark(uint64(1) << i)
 				return s
-			case n < slotCap:
+			case s.calls < slotCap:
 				return s
 			}
 			s.unlock()
@@ -329,16 +389,24 @@ func (e *Engine) mark(bit uint64) {
 }
 
 // Record buffers one access in an execution-local slot, sweeping the
-// engine if the slot fills. Safe for concurrent callers.
+// engine once the slot has taken slotCap calls. Safe for concurrent
+// callers. When no record anywhere has been stamped since the slot's
+// last one, an access that contiguously continues that record grows it
+// (extendRun) instead of adding a record.
 func (e *Engine) Record(dev machine.Device, addr memsim.Addr, size int64, kind memsim.AccessKind) {
 	if e.disabled.Load() {
 		return
 	}
 	s := e.lockSlot()
-	s.cnt.add(kind, 1)
-	s.buf = appendScalar(s.buf, dev, addr, size, kind)
-	s.seq = append(s.seq, e.seq.Add(1))
-	full := len(s.buf) >= slotCap
+	if q, reused := s.stamp(&e.seq); !reused || addr != s.next || !extendRun(&s.buf[s.n-1], dev, size, kind) {
+		n := s.n
+		setScalar(&s.buf[n], dev, addr, size, kind)
+		s.seq[n] = q
+		s.n = n + 1
+	}
+	s.next = addr + memsim.Addr(size)
+	s.calls++
+	full := s.calls >= slotCap
 	s.unlock()
 	if full {
 		e.Flush()
@@ -391,15 +459,17 @@ func (e *Engine) RecordRange(dev machine.Device, base memsim.Addr, count int, st
 func (e *Engine) recordRun(dev machine.Device, base memsim.Addr, count int, stride, size int64, kind memsim.AccessKind) {
 	span := int64(count-1)*stride + size
 	s := e.lockSlot()
-	s.cnt.add(kind, int64(count))
-	n := len(s.buf)
-	s.buf = s.buf[:n+1]
+	q, _ := s.stamp(&e.seq)
+	n := s.n
 	a := &s.buf[n]
 	a.Dev, a.Kind, a.Size = dev, kind, clampSize(size)
 	a.Addr = base
 	a.Count, a.Stride = int32(count), int32(stride)
-	s.seq = append(s.seq, e.seq.Add(1))
-	full := len(s.buf) >= slotCap
+	s.seq[n] = q
+	s.n = n + 1
+	s.next = base + memsim.Addr(span)
+	s.calls++
+	full := s.calls >= slotCap
 	multiLine := uint64(base)>>lineShift != (uint64(base)+uint64(span-1))>>lineShift
 	s.unlock()
 	if full || multiLine {
@@ -418,10 +488,34 @@ func (e *Engine) applyLocked(batch []shadow.Access, cur *Cursor) {
 	}
 }
 
-// seqMerge sorts the gathered records by sequence stamp (both slices in
-// lockstep). The input is a concatenation of per-slot runs that are each
-// already sorted, which the standard sort exploits well; stamps are
-// unique, so plain (unstable) sorting is exact.
+// tally adds a drained batch's element accesses to the kind totals: a
+// record counts its Elems, so a run counts like its scalar explosion.
+// Out-of-range kinds merge into ReadWrites like the sinks treat them.
+func (e *Engine) tally(batch []shadow.Access) {
+	// Register accumulators: indexing a counter array by kind would chain
+	// every iteration through a store and reload of the same slot.
+	var r, w, rw int64
+	for i := range batch {
+		switch n := batch[i].Elems(); batch[i].Kind {
+		case memsim.Read:
+			r += n
+		case memsim.Write:
+			w += n
+		default:
+			rw += n
+		}
+	}
+	e.reads.Add(r)
+	e.writes.Add(w)
+	e.readWrites.Add(rw)
+}
+
+// seqMerge sorts the gathered records by order stamp (both slices in
+// lockstep). The input is a concatenation of per-slot runs, each already
+// in (stamp, position) order, and a stamp value lives in one slot only:
+// records sharing a stamp are contiguous in the input and in position
+// order, so a stable sort by stamp restores (stamp, position) order
+// exactly. An unstable sort could reorder them.
 type seqMerge struct {
 	acc []shadow.Access
 	seq []uint64
@@ -473,9 +567,9 @@ func (e *Engine) releaseEmptied(held uint64) {
 }
 
 // sweep gathers the occupied slots' pending records, merges them back
-// into global sequence order, and applies the result to the sinks as one
-// batch; the caller holds flushMu and has seen a bit set in the mask, so
-// the batch is never empty.
+// into global (stamp, position) order, and applies the result to the
+// sinks as one batch; the caller holds flushMu and has seen a bit set in
+// the mask, so the batch is never empty.
 //
 // Every gathered slot stays locked until all are gathered, and the
 // locked set is closed under the mask's cut (lockOccupied), so the batch
@@ -490,16 +584,15 @@ func (e *Engine) sweep() {
 	held := e.lockOccupied()
 	for m := held; m != 0; m &= m - 1 {
 		s := &e.slots[bits.TrailingZeros64(m)]
-		s.cnt.mergeInto(e)
-		e.scratch = append(e.scratch, s.buf...)
-		e.scratchSeq = append(e.scratchSeq, s.seq...)
-		s.buf = s.buf[:0]
-		s.seq = s.seq[:0]
+		e.scratch = append(e.scratch, s.buf[:s.n]...)
+		e.scratchSeq = append(e.scratchSeq, s.seq[:s.n]...)
+		s.empty()
 	}
 	e.releaseEmptied(held)
 	if bits.OnesCount64(held) > 1 {
-		sort.Sort(seqMerge{e.scratch, e.scratchSeq})
+		sort.Stable(seqMerge{e.scratch, e.scratchSeq})
 	}
+	e.tally(e.scratch)
 	e.mu.Lock()
 	e.applyLocked(e.scratch, &e.mergedCur)
 	e.mu.Unlock()
@@ -553,10 +646,7 @@ func (e *Engine) Reset() {
 	defer e.flushMu.Unlock()
 	held := e.lockOccupied()
 	for m := held; m != 0; m &= m - 1 {
-		s := &e.slots[bits.TrailingZeros64(m)]
-		s.buf = s.buf[:0]
-		s.seq = s.seq[:0]
-		s.cnt = kindCounts{}
+		e.slots[bits.TrailingZeros64(m)].empty()
 	}
 	e.releaseEmptied(held)
 	e.reads.Store(0)
@@ -568,7 +658,7 @@ func (e *Engine) Reset() {
 
 // Counts flushes pending buffers and returns the accesses recorded so far
 // by kind. The flush is what makes the tally exact — the counters are
-// merged from per-slot counts at drain time — so Counts must not be
+// derived from the drained records at drain time — so Counts must not be
 // called from inside Locked (use a Flush-then-Locked sequence and read
 // the counters before taking the lock).
 func (e *Engine) Counts() Counts {
@@ -584,24 +674,17 @@ func (e *Engine) Counts() Counts {
 // the lock-free hot path used by goroutine-scoped recording (xplrt's
 // DeviceScope). Record and Flush must be called by one goroutine at a
 // time; the engine-side apply is synchronized like any slot sweep. A
-// Buffer needs no sequence stamps: its records apply as one batch in
+// Buffer needs no order stamps: its records apply as one batch in
 // append order, and its interleaving with the shared Record stream is
-// ordered at flush boundaries only (guarantee 3).
+// ordered at flush boundaries only (guarantee 3). It coalesces scalars
+// with the slot path's rule (extendRun), with no stamp check: nothing
+// else appends to it.
 type Buffer struct {
 	e   *Engine
 	buf []shadow.Access
 	cur Cursor
-	cnt kindCounts
-	// next is the address one past the coverage of the last appended
-	// record, for append-time run coalescing: a scalar access that
-	// continues the previous record's sweep (same device, kind, and
-	// element size, contiguous address) extends that record's run count
-	// instead of appending. A sweep of N contiguous elements then
-	// occupies one RLE record instead of N scalars — the buffer stays
-	// cache-resident and the drain applies one record. Exact per word:
-	// the contiguous RLE shape replays element-by-element with the same
-	// device and kind (shadow.Entry.recordRange), so per-word results
-	// and per-element counts are identical to the scalar explosion.
+	// next is where an access must start to continue the last record:
+	// the end of its last element.
 	next memsim.Addr
 }
 
@@ -609,38 +692,24 @@ type Buffer struct {
 func (e *Engine) NewBuffer() *Buffer { return &Buffer{e: e} }
 
 // Record appends one access with no locking, draining if the buffer
-// filled. An access that contiguously continues the previous record's
-// sweep coalesces into it (see Buffer.next).
+// filled. An access that contiguously continues the previous record
+// grows it instead (extendRun).
 func (b *Buffer) Record(dev machine.Device, addr memsim.Addr, size int64, kind memsim.AccessKind) {
 	if b.e.disabled.Load() {
 		return
 	}
-	b.cnt.add(kind, 1)
-	if n := len(b.buf); n > 0 && addr == b.next {
-		p := &b.buf[n-1]
-		if p.Dev == dev && p.Kind == kind && int64(p.Size) == size && p.Count < maxRun {
-			// Only gapless shapes extend: a scalar whose end is addr, or a
-			// contiguous (stride == size) run — a gapped run's next element
-			// would not start at its end, so folding addr into it as
-			// contiguous would cover the wrong words.
-			if p.Count <= 1 && addr == p.Addr+memsim.Addr(p.Size) {
-				p.Count, p.Stride = 2, p.Size
-				b.next += memsim.Addr(size)
-				return
-			}
-			if p.Count > 1 && p.Stride == p.Size {
-				p.Count++
-				b.next += memsim.Addr(size)
-				return
-			}
-		}
+	if n := len(b.buf); addr == b.next && n > 0 && extendRun(&b.buf[n-1], dev, size, kind) {
+		b.next += memsim.Addr(size)
+		return
 	}
 	if cap(b.buf) == 0 {
 		b.buf = make([]shadow.Access, 0, bufferCap)
 	}
-	b.buf = appendScalar(b.buf, dev, addr, size, kind)
+	n := len(b.buf)
+	b.buf = b.buf[:n+1]
+	setScalar(&b.buf[n], dev, addr, size, kind)
 	b.next = addr + memsim.Addr(size)
-	if len(b.buf) >= bufferCap {
+	if n+1 >= bufferCap {
 		b.Flush()
 	}
 }
@@ -668,12 +737,11 @@ func (b *Buffer) RecordRange(dev machine.Device, base memsim.Addr, count int, st
 		if run > maxRun {
 			run = maxRun
 		}
-		b.cnt.add(kind, int64(run))
 		if cap(b.buf) == 0 {
 			b.buf = make([]shadow.Access, 0, bufferCap)
 		}
 		b.buf = append(b.buf, shadow.Access{Dev: dev, Kind: kind, Addr: base, Size: clampSize(size), Count: int32(run), Stride: int32(stride)})
-		b.next = base + memsim.Addr(int64(run)*stride)
+		b.next = base + memsim.Addr(int64(run-1)*stride+size)
 		if len(b.buf) >= bufferCap {
 			b.Flush()
 		}
@@ -687,13 +755,11 @@ func (b *Buffer) RecordRange(dev machine.Device, base memsim.Addr, count int, st
 // this buffer's must reach the sinks before the buffer's batch, or
 // per-word ordering would invert.
 func (b *Buffer) Flush() {
-	if !b.cnt.empty() {
-		b.cnt.mergeInto(b.e)
-	}
 	if len(b.buf) == 0 {
 		return
 	}
 	b.e.Flush()
+	b.e.tally(b.buf)
 	b.e.mu.Lock()
 	b.e.applyLocked(b.buf, &b.cur)
 	b.e.mu.Unlock()

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"xplacer/internal/machine"
@@ -315,104 +314,195 @@ func TestSlotOverflowUnderContention(t *testing.T) {
 	}
 }
 
-// TestSlotHoppingMatchesSequential drives more recorders than Ps, each
-// yielding between records so it changes slots mid-stream, while another
-// goroutine flushes in a loop: every partial sweep must cut the stamp
-// stream at a prefix. Each recorder owns its words. Per round it gives
-// every word a write / read-by-the-other-device / write triple, then
-// reads all its words as one multi-line range, which flushes at record
-// time; the writing device alternates by round. Applying any two
-// consecutive records of a recorder out of order changes a word's
-// read-origin bits. Shadow bytes, kind counts and heat maps must equal a
-// sequential replay of the same calls.
-func TestSlotHoppingMatchesSequential(t *testing.T) {
-	const (
-		words  = 40 // per recorder: 160 bytes, so its range spans 3-4 lines
-		rounds = 40
-		base   = memsim.Addr(0x10000)
-	)
-	recorders := 2*runtime.GOMAXPROCS(0) + 1
-	run := func(concurrent bool) (*TableSink, *HeatmapSink, Counts) {
-		sink := NewTableSink(shadow.NewTable())
-		if _, err := sink.Table().InsertRange(base, int64(recorders*words*shadow.WordSize), "a", memsim.Managed, "test"); err != nil {
-			t.Fatal(err)
-		}
-		hm := NewHeatmapSink(sink.Table())
-		eng := NewEngine(sink, hm)
-		record := func(w int, yield bool) {
-			first := base + memsim.Addr(w*words*shadow.WordSize)
-			for r := 0; r < rounds; r++ {
-				a, b := machine.CPU, machine.GPU
-				if r%2 == 1 {
-					a, b = b, a
-				}
-				for k := 0; k < words; k++ {
-					addr := first + memsim.Addr(k*shadow.WordSize)
-					for _, op := range [...]struct {
-						dev  machine.Device
-						kind memsim.AccessKind
-					}{{a, memsim.Write}, {b, memsim.Read}, {a, memsim.Write}} {
-						eng.Record(op.dev, addr, shadow.WordSize, op.kind)
-						if yield {
-							runtime.Gosched()
-						}
-					}
-				}
-				eng.RecordRange(b, first, words, shadow.WordSize, shadow.WordSize, memsim.Read)
-			}
-		}
-		if !concurrent {
-			for w := 0; w < recorders; w++ {
-				record(w, false)
-			}
-			return sink, hm, eng.Counts()
-		}
-		var done atomic.Bool
-		flushed := make(chan struct{})
-		go func() {
-			defer close(flushed)
-			for !done.Load() {
-				eng.Flush()
-				runtime.Gosched()
-			}
-		}()
-		var wg sync.WaitGroup
-		for w := 0; w < recorders; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				record(w, true)
-			}(w)
-		}
-		wg.Wait()
-		done.Store(true)
-		<-flushed
-		return sink, hm, eng.Counts()
-	}
-	refSink, refHM, refCounts := run(false)
-	conSink, conHM, conCounts := run(true)
+// countingSink records the shape of every applied batch.
+type countingSink struct {
+	batches [][]shadow.Access
+}
 
-	ref, con := refSink.Table().Find(base).Shadow, conSink.Table().Find(base).Shadow
-	for i := range ref {
-		if ref[i] != con[i] {
-			t.Fatalf("shadow[%d] (recorder %d): sequential %08b, concurrent %08b", i, i/words, ref[i], con[i])
+func (s *countingSink) Apply(batch []shadow.Access, _ *Cursor) {
+	s.batches = append(s.batches, append([]shadow.Access(nil), batch...))
+}
+
+// TestRunStampRefusesInterleavedSlot pins the stamp check of slot-path
+// coalescing. A GPU write of word 0 lands in the hinted slot; while that
+// slot is held, a CPU read of word 1 lands in the next one and takes a
+// newer stamp; then a GPU write of word 1 contiguously continues the
+// first slot's record. Growing that record would order the write before
+// the read, and the read would see a GPU origin (ReadGC). The write must
+// take a stamp of its own instead, after the read's.
+func TestRunStampRefusesInterleavedSlot(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	eng, sink := newTableEngine(t, 0x1000, 64)
+	eng.Record(machine.GPU, 0x1000, 4, memsim.Write)
+	hinted := &eng.slots[procHint()%NumSlots]
+	if !hinted.tryLock() {
+		t.Fatal("hinted slot is held")
+	}
+	eng.Record(machine.CPU, 0x1004, 4, memsim.Read)
+	hinted.unlock()
+	eng.Record(machine.GPU, 0x1004, 4, memsim.Write)
+	eng.Flush()
+	want := shadow.ReadCC | shadow.GPUWrote | shadow.LastWriterGPU
+	if got := entryOf(t, sink, 0x1000).Shadow[1]; got != want {
+		t.Errorf("word 1 = %08b, want %08b (ReadCC|GPUWrote|LastWriterGPU)", got, want)
+	}
+}
+
+// TestSlotCoalescesOnFillBoundary checks that a contiguous sweep through
+// the slot path reaches the sinks as one run record per sweep, and that
+// the sweeps fire where one record per call would have filled the slot:
+// every slotCap calls.
+func TestSlotCoalescesOnFillBoundary(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const base = memsim.Addr(0x10000)
+	sink := &countingSink{}
+	eng := NewEngine(sink)
+	for i := 0; i < 3*slotCap; i++ {
+		eng.Record(machine.CPU, base+memsim.Addr(4*i), 4, memsim.Write)
+	}
+	if len(sink.batches) != 3 {
+		t.Fatalf("%d batches before any flush, want 3", len(sink.batches))
+	}
+	for i, b := range sink.batches {
+		want := shadow.Access{Dev: machine.CPU, Kind: memsim.Write, Size: 4, Addr: base + memsim.Addr(4*i*slotCap), Count: slotCap, Stride: 4}
+		if len(b) != 1 || b[0] != want {
+			t.Errorf("batch %d = %+v, want [%+v]", i, b, want)
 		}
 	}
-	if refCounts != conCounts {
-		t.Errorf("kind counts: sequential %+v, concurrent %+v", refCounts, conCounts)
+	if c := eng.Counts(); c != (Counts{Writes: 3 * slotCap}) {
+		t.Errorf("counts = %+v, want %d writes", c, 3*slotCap)
 	}
-	rh, ch := refHM.Heats(), conHM.Heats()
-	if len(rh) != 1 || len(ch) != 1 {
-		t.Fatalf("heats: sequential %d, concurrent %d", len(rh), len(ch))
+}
+
+// TestExtendRunShapes pins the shared coalescing rule's shape checks:
+// only a gapless record with the same device, kind and size grows.
+func TestExtendRunShapes(t *testing.T) {
+	scalar := shadow.Access{Dev: machine.GPU, Kind: memsim.Read, Size: 8, Addr: 0x100}
+	run := func(count, stride int32) shadow.Access {
+		return shadow.Access{Dev: machine.GPU, Kind: memsim.Read, Size: 8, Addr: 0x100, Count: count, Stride: stride}
 	}
-	if rh[0].Totals != ch[0].Totals {
-		t.Errorf("heat totals: sequential %v, concurrent %v", rh[0].Totals, ch[0].Totals)
+	for _, c := range []struct {
+		name string
+		p    shadow.Access
+		dev  machine.Device
+		size int64
+		kind memsim.AccessKind
+		want shadow.Access // p after the call; p itself when refused
+	}{
+		{"scalar grows", scalar, machine.GPU, 8, memsim.Read, run(2, 8)},
+		{"one-element run grows", run(1, 8), machine.GPU, 8, memsim.Read, run(2, 8)},
+		{"run grows", run(3, 8), machine.GPU, 8, memsim.Read, run(4, 8)},
+		{"other device", scalar, machine.CPU, 8, memsim.Read, scalar},
+		{"other kind", scalar, machine.GPU, 8, memsim.Write, scalar},
+		{"other size", scalar, machine.GPU, 4, memsim.Read, scalar},
+		{"gapped run", run(3, 16), machine.GPU, 8, memsim.Read, run(3, 16)},
+		{"overlapping run", run(3, 4), machine.GPU, 8, memsim.Read, run(3, 4)},
+		{"full run", run(maxRun, 8), machine.GPU, 8, memsim.Read, run(maxRun, 8)},
+		{"zero size", shadow.Access{Dev: machine.GPU, Kind: memsim.Read, Addr: 0x101}, machine.GPU, 0, memsim.Read,
+			shadow.Access{Dev: machine.GPU, Kind: memsim.Read, Addr: 0x101}},
+	} {
+		p := c.p
+		grew := extendRun(&p, c.dev, c.size, c.kind)
+		if p != c.want || grew != (c.want != c.p) {
+			t.Errorf("%s: extendRun = %v, record %+v; want %v, %+v", c.name, grew, p, c.want != c.p, c.want)
+		}
 	}
-	for d := range rh[0].Counts {
-		for w := range rh[0].Counts[d] {
-			if rh[0].Counts[d][w] != ch[0].Counts[d][w] {
-				t.Fatalf("heat dev %d word %d: sequential %d, concurrent %d", d, w, rh[0].Counts[d][w], ch[0].Counts[d][w])
+}
+
+// TestCoalescingNeedsContiguity drives both recording paths with
+// accesses that repeat, skip or continue the previous element, and a
+// scalar after a range, and checks the records they drain: only an
+// access starting where the last record's last element ends grows it.
+func TestCoalescingNeedsContiguity(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	type rec struct {
+		addr  memsim.Addr
+		count int // > 1: a range of count contiguous 4-byte elements
+	}
+	script := []rec{
+		{0x1000, 1}, {0x1000, 1}, // the same element twice
+		{0x1008, 1},              // a gap
+		{0x100c, 1}, {0x1010, 1}, // contiguous
+		{0x2000, 4}, {0x2010, 1}, // a scalar continuing a range
+		{0x2018, 1}, // a gap after a range
+	}
+	want := []shadow.Access{
+		{Dev: machine.GPU, Kind: memsim.Write, Size: 4, Addr: 0x1000},
+		{Dev: machine.GPU, Kind: memsim.Write, Size: 4, Addr: 0x1000},
+		{Dev: machine.GPU, Kind: memsim.Write, Size: 4, Addr: 0x1008, Count: 3, Stride: 4},
+		{Dev: machine.GPU, Kind: memsim.Write, Size: 4, Addr: 0x2000, Count: 5, Stride: 4},
+		{Dev: machine.GPU, Kind: memsim.Write, Size: 4, Addr: 0x2018},
+	}
+	type recorder interface {
+		Record(machine.Device, memsim.Addr, int64, memsim.AccessKind)
+		RecordRange(machine.Device, memsim.Addr, int, int64, int64, memsim.AccessKind)
+		Flush()
+	}
+	for name, mk := range map[string]func(*Engine) recorder{
+		"slot":   func(e *Engine) recorder { return e },
+		"buffer": func(e *Engine) recorder { return e.NewBuffer() },
+	} {
+		sink := &countingSink{}
+		r := mk(NewEngine(sink))
+		for _, a := range script {
+			if a.count > 1 {
+				// Within one 64-byte line, so the slot path keeps it buffered.
+				r.RecordRange(machine.GPU, a.addr, a.count, 4, 4, memsim.Write)
+			} else {
+				r.Record(machine.GPU, a.addr, 4, memsim.Write)
 			}
 		}
+		r.Flush()
+		var got []shadow.Access
+		for _, b := range sink.batches {
+			got = append(got, b...)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%s path drained\n%+v\nwant\n%+v", name, got, want)
+		}
+	}
+}
+
+// TestOneElementRunEndsAtItsElement pins where a one-element run with a
+// wide stride ends for coalescing: at its element, not a stride later.
+// A scalar one stride past the element is a record of its own; a scalar
+// right after it grows the run. The Buffer makes such a run from a
+// one-element RecordRange; the slot path only from the tail of a range
+// split at maxRun elements.
+func TestOneElementRunEndsAtItsElement(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const base = memsim.Addr(0x1000)
+	w := func(addr memsim.Addr, count, stride int32) shadow.Access {
+		return shadow.Access{Dev: machine.GPU, Kind: memsim.Write, Size: 8, Addr: addr, Count: count, Stride: stride}
+	}
+	for _, c := range []struct {
+		next memsim.Addr
+		want []shadow.Access
+	}{
+		{base + 16, []shadow.Access{w(base, 1, 16), w(base+16, 0, 0)}},
+		{base + 8, []shadow.Access{w(base, 2, 8)}},
+	} {
+		sink := &countingSink{}
+		b := NewEngine(sink).NewBuffer()
+		b.RecordRange(machine.GPU, base, 1, 16, 8, memsim.Write)
+		b.Record(machine.GPU, c.next, 8, memsim.Write)
+		b.Flush()
+		if len(sink.batches) != 1 || fmt.Sprint(sink.batches[0]) != fmt.Sprint(c.want) {
+			t.Errorf("buffer, scalar at %#x: drained %+v, want [%+v]", c.next, sink.batches, c.want)
+		}
+	}
+
+	sink := &countingSink{}
+	eng := NewEngine(sink)
+	eng.RecordRange(machine.GPU, base, maxRun+1, 16, 8, memsim.Write)
+	tail := base + memsim.Addr(int64(maxRun)*16)
+	eng.Record(machine.GPU, tail+16, 8, memsim.Write)
+	eng.Flush()
+	want := [][]shadow.Access{
+		{w(base, maxRun, 16)}, // multi-line: drains at record time
+		{w(tail, 1, 16), w(tail+16, 0, 0)},
+	}
+	if fmt.Sprint(sink.batches) != fmt.Sprint(want) {
+		t.Errorf("slot path drained %+v, want %+v", sink.batches, want)
 	}
 }

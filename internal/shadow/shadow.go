@@ -149,14 +149,20 @@ func (e *Entry) wordIndex(addr memsim.Addr) int { return int(addr-e.Base) / Word
 
 // Table is the shadow memory table: entries sorted by base address, plus
 // an AllocID index for O(1) allocation-to-entry lookups. The table itself
-// is not goroutine-safe; concurrent recording front ends (xplrt's shards,
-// trace.Tracer) buffer accesses and apply them in batches under their own
-// lock via RecordAll.
+// is not goroutine-safe; concurrent recording front ends (xplrt,
+// trace.Tracer) buffer accesses in the recording engine, which applies
+// them in batches under its own lock via RecordAll.
 type Table struct {
 	entries []*Entry
 	byID    map[int]*Entry       // AllocID -> entry, simulated allocations only
 	dir     map[uint64]*pageLeaf // page index directory: page>>leafBits -> leaf
 	lookups int64                // total lookup operations (overhead accounting)
+	// leaf caches the directory's answer for the 2 MiB region leafKey of
+	// the last lookup that found a leaf, so a run of lookups in one
+	// region skips the map. A leaf, once in the directory, stays there
+	// and changes only in place until rebuildIndex, which drops the cache.
+	leaf    *pageLeaf
+	leafKey uint64
 }
 
 // NewTable returns an empty SMT.
@@ -243,6 +249,7 @@ func (t *Table) indexInsert(e *Entry) {
 // reference counts.
 func (t *Table) rebuildIndex() {
 	t.dir = map[uint64]*pageLeaf{}
+	t.leaf = nil
 	for _, e := range t.entries {
 		t.indexInsert(e)
 	}
@@ -265,9 +272,13 @@ func (t *Table) FindAny(addr memsim.Addr) *Entry { return t.find(addr) }
 
 func (t *Table) find(addr memsim.Addr) *Entry {
 	t.lookups++
-	leaf := t.dir[uint64(addr)>>(pageShift+leafBits)]
-	if leaf == nil {
-		return nil // no entry covers the 2 MiB around addr
+	key := uint64(addr) >> (pageShift + leafBits)
+	leaf := t.leaf
+	if leaf == nil || key != t.leafKey {
+		if leaf = t.dir[key]; leaf == nil {
+			return nil // no entry covers the 2 MiB around addr
+		}
+		t.leaf, t.leafKey = leaf, key
 	}
 	e := leaf[(uint64(addr)>>pageShift)&(leafSlots-1)]
 	switch e {
@@ -425,9 +436,9 @@ func (e *Entry) recordRange(addr memsim.Addr, count int, stride, size int64, dev
 	}
 }
 
-// Access is one buffered access. Concurrent recording front ends
-// (xplrt's address shards, trace.Tracer) append these to per-shard buffers
-// on the hot path and apply them in batch at flush points.
+// Access is one buffered access. The recording engine (internal/record)
+// appends these to its per-P slots and single-owner buffers on the hot
+// path and applies them in batch at flush points.
 //
 // Count and Stride run-length-encode a strided sweep: Count elements of
 // Size bytes each, the k-th starting at Addr + k*Stride. Count 0 or 1 is
@@ -565,9 +576,7 @@ func (t *Table) recordRange(a *Access, hint *Entry) (last *Entry, untracked int)
 // same iteration or earlier (e.g., at start up)".
 func (t *Table) Reset() {
 	for _, e := range t.entries {
-		for i := range e.Shadow {
-			e.Shadow[i] &= LastWriterGPU
-		}
+		clearInterval(e.Shadow)
 		e.TransferredIn = 0
 		e.TransferredOut = 0
 	}

@@ -8,7 +8,7 @@
 // The tracer deliberately performs its own address-to-allocation lookup on
 // every access — the same SMT search the paper's prototype does — so the
 // instrumentation overhead characteristics of Table III carry over. The
-// buffering, sharding, and batch-drain machinery that keeps that lookup
+// per-P buffering and batch-drain machinery that keeps that lookup
 // off the per-access critical path lives in the shared recording engine
 // (internal/record); the tracer is a thin front end wiring the engine's
 // canonical TableSink to the CUDA-like wrappers. Flush ordering (why a
@@ -174,7 +174,7 @@ func (t *Tracer) TraceFree(a *memsim.Alloc) {
 }
 
 // TraceAccess implements cuda.Tracer; it is the runtime body of traceR,
-// traceW, and traceRW. It only appends to an engine shard — safe for
+// traceW, and traceRW. It only records into an engine slot — safe for
 // concurrent simulated kernels.
 func (t *Tracer) TraceAccess(dev machine.Device, _ *memsim.Alloc, addr memsim.Addr, size int64, kind memsim.AccessKind) {
 	t.eng.Record(dev, addr, size, kind)

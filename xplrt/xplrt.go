@@ -29,16 +29,17 @@
 //
 // Trace calls do not touch the shadow table directly: the package is a
 // front end over the shared recording engine (internal/record), which
-// owns the address-sharded buffers, the batched drain with its last-entry
-// SMT cache, and the flush-ordering guarantees (see the package record
-// documentation). Scope-less TraceR/W/RW calls record through the
-// engine's sharded path; ScopeR/W/RW calls append to the scope's private
-// engine Buffer with no locking at all. Buffered accesses become visible
-// to diagnostics only at flush points: TracePrint, Report, OnDevice
-// return, and explicit Flush calls (process-wide xplrt.Flush for the
-// shards, DeviceScope.Flush for a scope); a scope drain flushes the
-// shards first, so accesses recorded before the device section are
-// applied before the section's own.
+// owns the per-P slot buffers, the stamp-ordered drain with its
+// last-entry SMT cache, and the flush-ordering guarantees (see the
+// package record documentation). Scope-less TraceR/W/RW calls record
+// through the engine's slot path; ScopeR/W/RW calls append to the
+// scope's private engine Buffer with no locking at all. Both paths
+// coalesce an access that contiguously continues the previous record
+// into a run. Buffered accesses become visible to diagnostics only at
+// flush points: TracePrint, Report, OnDevice return, and explicit Flush
+// calls (process-wide xplrt.Flush for the slots, DeviceScope.Flush for a
+// scope); a scope drain flushes the slots first, so accesses recorded
+// before the device section are applied before the section's own.
 package xplrt
 
 import (
@@ -96,8 +97,8 @@ var rt = newRuntime()
 // entry points. Goroutine-scoped code uses a DeviceScope instead.
 var defaultDev atomic.Uint32
 
-// recordAccess is the shared body of the trace functions: append to the
-// address's engine shard, draining it if full.
+// recordAccess is the shared body of the trace functions: record into
+// the calling goroutine's engine slot, sweeping the engine if it filled.
 func recordAccess(dev Device, addr uintptr, size int64, kind memsim.AccessKind) {
 	rt.eng.Record(dev, memsim.Addr(addr), size, kind)
 }
