@@ -25,6 +25,8 @@ import (
 	"xplacer/internal/diag"
 	"xplacer/internal/machine"
 	"xplacer/internal/memsim"
+	"xplacer/internal/pattern"
+	"xplacer/internal/record"
 	"xplacer/internal/shadow"
 	"xplacer/xplrt"
 )
@@ -189,9 +191,10 @@ func BenchmarkTraceOverheadSingle(b *testing.B) {
 // BenchmarkTraceOverheadPatternSink compares the recording hot path with
 // and without the access-pattern classifier sink attached. The sink adds
 // nothing to the buffered append; its cost is paid at drain time — one
-// delta fold per scalar access, O(1) per RLE range record — so the
-// all-scalar workload here is its worst case. Acceptance bar:
-// overhead_x < 2 (range-coalesced workloads see no measurable change).
+// delta fold per scalar record, O(1) per RLE range record. The
+// contiguous ScopeR sweep here coalesces into run records in the scope's
+// Buffer, so it is not the sink's all-scalar worst case; that case is
+// BenchmarkSinkApply's scalar batches. Acceptance bar: overhead_x < 2.
 func BenchmarkTraceOverheadPatternSink(b *testing.B) {
 	const total = 1 << 20
 	bare, classified := math.Inf(1), math.Inf(1)
@@ -294,6 +297,74 @@ func BenchmarkSlotRecord(b *testing.B) {
 		xplrt.Flush()
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns_per_access")
 	})
+}
+
+// BenchmarkSinkApply measures the drain side of the three table-backed
+// sinks — record.TableSink, record.HeatmapSink and pattern.Sink — each
+// applying one fixed 1024-record batch, the size of a full slot, over 16
+// allocations of 16 KiB. Interleaved is LULESH's shape: 8-byte scalars
+// alternating between three allocations (x[i] = y[i] + z[i]). Runs is
+// the Rodinia shape: 16-element float32 row runs cycling through all 16
+// allocations. Random is seeded random 8-byte scalars over all 16, where
+// the lookup hint rarely holds. Sinks are built outside the timer; the
+// metric is ns per element access (a run counts its elements).
+func BenchmarkSinkApply(b *testing.B) {
+	const allocs, size, records = 16, 16 << 10, 1024
+	table := shadow.NewTable()
+	base := func(i int) memsim.Addr { return memsim.Addr(0x1000000 + i*0x10000) }
+	for i := 0; i < allocs; i++ {
+		if _, err := table.InsertRange(base(i), size, fmt.Sprintf("a%d", i), memsim.Managed, "bench"); err != nil {
+			b.Fatal(err)
+		}
+	}
+	var interleaved, runs, random []shadow.Access
+	for i := 0; len(interleaved) < records; i++ {
+		off := memsim.Addr(8 * i)
+		interleaved = append(interleaved,
+			shadow.Access{Dev: machine.CPU, Kind: memsim.Read, Size: 8, Addr: base(1) + off},
+			shadow.Access{Dev: machine.CPU, Kind: memsim.Read, Size: 8, Addr: base(2) + off},
+			shadow.Access{Dev: machine.CPU, Kind: memsim.Write, Size: 8, Addr: base(0) + off})
+	}
+	for i := 0; i < records; i++ {
+		runs = append(runs, shadow.Access{Dev: machine.GPU, Kind: memsim.AccessKind(i % 2), Size: 4,
+			Addr: base(i%allocs) + memsim.Addr(64*(i/allocs)), Count: 16, Stride: 4})
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < records; i++ {
+		random = append(random, shadow.Access{Dev: machine.GPU, Kind: memsim.AccessKind(rng.Intn(2)), Size: 8,
+			Addr: base(rng.Intn(allocs)) + memsim.Addr(8*rng.Intn(size/8))})
+	}
+	batches := []struct {
+		name  string
+		batch []shadow.Access
+	}{{"Interleaved", interleaved[:records]}, {"Runs", runs}, {"Random", random}}
+	sinks := []struct {
+		name string
+		new  func() record.Sink
+	}{
+		{"Table", func() record.Sink { return record.NewTableSink(table) }},
+		{"Heatmap", func() record.Sink { return record.NewHeatmapSink(table) }},
+		{"Pattern", func() record.Sink { return pattern.NewSink(table) }},
+	}
+	for _, sk := range sinks {
+		for _, bt := range batches {
+			b.Run(sk.name+"/"+bt.name, func(b *testing.B) {
+				var elems int64
+				for i := range bt.batch {
+					elems += bt.batch[i].Elems()
+				}
+				sink := sk.new()
+				// The sinks ignore the cursor; a non-nil one keeps this
+				// benchmark runnable on older trees for paired comparisons.
+				cur := &record.Cursor{}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					sink.Apply(bt.batch, cur)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*float64(elems)), "ns_per_elem")
+			})
+		}
+	}
 }
 
 // analyzeSink keeps BenchmarkDiagAnalyze's result live.

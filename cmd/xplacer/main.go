@@ -330,7 +330,7 @@ func main() {
 		printed := false
 		for _, a := range s.Ctx.Space().Live() {
 			if a.Label == *maps {
-				if e := diag.EntryOf(s.Tracer, a); e != nil {
+				if e := s.Tracer.Table().FindByID(a.ID); e != nil {
 					for _, c := range []diag.MapCategory{diag.CPUWrites, diag.GPUWrites, diag.CPUReads, diag.GPUReads} {
 						fmt.Println(diag.AccessMap(e, c, 64))
 					}

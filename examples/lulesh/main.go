@@ -54,7 +54,7 @@ func main() {
 	}
 	for _, a := range s2.Ctx.Space().Live() {
 		if a.Label == "dom" {
-			e := diag.EntryOf(s2.Tracer, a)
+			e := s2.Tracer.Table().FindByID(a.ID)
 			fmt.Println("\n--- steady-state access maps of dom (cf. Fig. 5d-5f) ---")
 			fmt.Println(diag.AccessMap(e, diag.CPUWrites, 64))
 			fmt.Println(diag.AccessMap(e, diag.GPUReads, 64))

@@ -33,7 +33,7 @@ func main() {
 		}
 		for _, a := range s.Ctx.Space().Live() {
 			if a.Label == "gpuWall" {
-				e := diag.EntryOf(s.Tracer, a)
+				e := s.Tracer.Table().FindByID(a.ID)
 				fmt.Printf("GPU reads of the CPU-produced wall, iteration %d (cf. Fig. 10):\n", it)
 				fmt.Println(diag.AccessMap(e, diag.GPUReadsCPUOrigin, 64))
 			}

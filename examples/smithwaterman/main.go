@@ -31,7 +31,7 @@ func main() {
 	}
 	for _, a := range s.Ctx.Space().Live() {
 		if a.Label == "H" {
-			e := diag.EntryOf(s.Tracer, a)
+			e := s.Tracer.Table().FindByID(a.ID)
 			fmt.Println("H written by the CPU (initialization, cf. Fig. 7a):")
 			fmt.Println(diag.AccessMap(e, diag.CPUWrites, 11))
 			fmt.Println("CPU-origin values the GPU actually consumed (cf. Fig. 7b):")
@@ -46,7 +46,7 @@ func main() {
 	}
 	for _, a := range s2.Ctx.Space().Live() {
 		if a.Label == "H" {
-			e := diag.EntryOf(s2.Tracer, a)
+			e := s2.Tracer.Table().FindByID(a.ID)
 			fmt.Println("GPU writes in iteration 8 (cf. Fig. 8a):")
 			fmt.Println(diag.AccessMap(e, diag.GPUWrites, 11))
 		}

@@ -267,10 +267,6 @@ func (c *Controller) Finish() error {
 	return c.err
 }
 
-// Err returns the first error the controller latched (analysis or
-// application); the controller stops acting after an error.
-func (c *Controller) Err() error { return c.err }
-
 // Report returns the accumulated decision log.
 func (c *Controller) Report() *Report { return &c.report }
 

@@ -94,10 +94,10 @@ func WithSnapshotMaxAge(d time.Duration) Option {
 }
 
 // applyItem is one unit on a proc's apply queue: a decoded frame, or a
-// snapshot/sync marker. Items are pooled (Aggregator.item/recycle) so
+// snapshot marker. Items are pooled (Aggregator.item/recycle) so
 // steady-state ingest allocates none.
 type applyItem struct {
-	kind  byte // wire.Frame* tag, or item{Snapshot,Sync}
+	kind  byte // wire.Frame* tag, or itemSnapshot
 	batch []shadow.Access
 	name  string
 	at    machine.Duration
@@ -107,18 +107,12 @@ type applyItem struct {
 	// snap receives the freshly published snapshot (itemSnapshot);
 	// buffered so an abandoned requester never blocks the worker.
 	snap chan *Snapshot
-	// done is signaled once every item enqueued before this one has been
-	// applied (itemSync; used by tests and internal drains).
-	done chan struct{}
 }
 
-// Marker kinds, outside the wire.Frame* tag space. Markers do not count
-// as mutations (see Proc.enq/app), so a published snapshot's sequence
-// number tracks state-changing items only.
-const (
-	itemSnapshot = 0xFE
-	itemSync     = 0xFF
-)
+// itemSnapshot is the one marker kind, outside the wire.Frame* tag space.
+// Markers do not count as mutations (see Proc.enq/app), so a published
+// snapshot's sequence number tracks state-changing items only.
+const itemSnapshot = 0xFE
 
 // Snapshot is an immutable published view of one proc, built by its
 // apply worker at a queue boundary. Readers share it without locks.
@@ -253,10 +247,6 @@ func (p *Proc) apply(it *applyItem) {
 		s := p.publish()
 		if it.snap != nil {
 			it.snap <- s // buffered: never blocks the worker
-		}
-	case itemSync:
-		if it.done != nil {
-			close(it.done)
 		}
 	}
 }

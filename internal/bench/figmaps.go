@@ -30,7 +30,7 @@ func liveEntry(s *core.Session, label string) (*shadow.Entry, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := diag.EntryOf(s.Tracer, a)
+	e := s.Tracer.Table().FindByID(a.ID)
 	if e == nil {
 		return nil, fmt.Errorf("bench: allocation %q has no shadow entry", label)
 	}

@@ -30,10 +30,17 @@ import (
 
 // Tracer observes runtime events. internal/trace implements it; a nil
 // tracer on the Context disables instrumentation (the "original version"
-// of Table III).
+// of Table III). Element accesses arrive one by one through TraceAccess,
+// or, from kernels that record a sweep with Exec.TraceRange, as one
+// run-length-encoded TraceAccessRange call.
 type Tracer interface {
 	// TraceAccess observes one element access by dev.
 	TraceAccess(dev machine.Device, a *memsim.Alloc, addr memsim.Addr, size int64, kind memsim.AccessKind)
+	// TraceAccessRange observes a strided element sweep as one
+	// run-length-encoded record: count element accesses of size bytes by
+	// dev, the k-th at addr + k*stride, with the exact per-word semantics
+	// of count TraceAccess calls in ascending address order.
+	TraceAccessRange(dev machine.Device, a *memsim.Alloc, addr memsim.Addr, count int, stride, size int64, kind memsim.AccessKind)
 	// TraceAlloc observes an allocation (trcMalloc/trcMallocManaged).
 	TraceAlloc(a *memsim.Alloc)
 	// TraceFree observes a deallocation (trcFree).
@@ -44,18 +51,6 @@ type Tracer interface {
 	TraceTransfer(a *memsim.Alloc, dir um.TransferDir, off, n int64)
 	// TraceKernelLaunch observes a kernel launch by name.
 	TraceKernelLaunch(name string)
-}
-
-// RangeTracer is the optional range-compaction extension of Tracer: a
-// tracer implementing it receives strided element sweeps as single
-// run-length-encoded records instead of per-element TraceAccess calls.
-// internal/trace implements it; Exec.TraceRange falls back to per-element
-// TraceAccess for tracers that do not.
-type RangeTracer interface {
-	// TraceAccessRange observes count element accesses of size bytes by
-	// dev, the k-th at addr + k*stride, with the exact per-word semantics
-	// of count TraceAccess calls in ascending address order.
-	TraceAccessRange(dev machine.Device, a *memsim.Alloc, addr memsim.Addr, count int, stride, size int64, kind memsim.AccessKind)
 }
 
 // Stream orders asynchronous work. Operations issued on the same stream
@@ -985,14 +980,7 @@ func (e *Exec) TraceRange(kind memsim.AccessKind, a *memsim.Alloc, off int64, co
 	if t == nil || count <= 0 {
 		return
 	}
-	addr := a.Base + memsim.Addr(off)
-	if rt, ok := t.(RangeTracer); ok {
-		rt.TraceAccessRange(e.dev, a, addr, count, stride, size, kind)
-		return
-	}
-	for k := 0; k < count; k++ {
-		t.TraceAccess(e.dev, a, addr+memsim.Addr(int64(k)*stride), size, kind)
-	}
+	t.TraceAccessRange(e.dev, a, a.Base+memsim.Addr(off), count, stride, size, kind)
 }
 
 // access is the shared body of Access and the NoTrace view.

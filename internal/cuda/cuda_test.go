@@ -191,12 +191,15 @@ func TestAsyncMemcpyOverlapsWithCompute(t *testing.T) {
 // recordingTracer verifies the tracer hook points.
 type recordingTracer struct {
 	allocs, frees, kernels int
-	accesses               int
+	accesses, ranges       int
 	transfers              []um.TransferDir
 }
 
 func (r *recordingTracer) TraceAccess(machine.Device, *memsim.Alloc, memsim.Addr, int64, memsim.AccessKind) {
 	r.accesses++
+}
+func (r *recordingTracer) TraceAccessRange(machine.Device, *memsim.Alloc, memsim.Addr, int, int64, int64, memsim.AccessKind) {
+	r.ranges++
 }
 func (r *recordingTracer) TraceAlloc(*memsim.Alloc) { r.allocs++ }
 func (r *recordingTracer) TraceFree(*memsim.Alloc)  { r.frees++ }
@@ -214,7 +217,10 @@ func TestTracerHooks(t *testing.T) {
 	d, _ := ctx.Malloc(64, "d")
 	v := memsim.Float64s(a)
 	v.Store(ctx.Host(), 0, 1)
-	ctx.LaunchSync("k", func(e *Exec) { v.Load(e, 0) })
+	ctx.LaunchSync("k", func(e *Exec) {
+		v.Load(e, 0)
+		e.TraceRange(memsim.Read, a, 0, 4, 8, 8)
+	})
 	ctx.MemcpyH2D(d, 0, make([]byte, 8))
 	ctx.MemcpyD2H(make([]byte, 8), d, 0)
 	_ = ctx.Free(a)
@@ -222,8 +228,8 @@ func TestTracerHooks(t *testing.T) {
 	if rec.allocs != 2 || rec.frees != 1 || rec.kernels != 1 {
 		t.Errorf("allocs=%d frees=%d kernels=%d", rec.allocs, rec.frees, rec.kernels)
 	}
-	if rec.accesses != 2 {
-		t.Errorf("accesses = %d, want 2", rec.accesses)
+	if rec.accesses != 2 || rec.ranges != 1 {
+		t.Errorf("accesses = %d, ranges = %d, want 2 and 1", rec.accesses, rec.ranges)
 	}
 	if len(rec.transfers) != 2 || rec.transfers[0] != um.HostToDevice || rec.transfers[1] != um.DeviceToHost {
 		t.Errorf("transfers = %v", rec.transfers)

@@ -5,9 +5,10 @@
 // anti-pattern findings of internal/detect, as text, CSV, or graphical
 // (ASCII) access maps like Figs. 5, 7, 8, and 10.
 //
-// The Print functions are the runtime bodies of the paper's
-// "#pragma xpl diagnostic tracePrint(...)": they analyze the shadow
-// memory, emit the report, and reset the interval state.
+// The runtime bodies of the paper's "#pragma xpl diagnostic
+// tracePrint(...)" — core.Session.Diagnostic and xplrt.TracePrint —
+// analyze the shadow memory with Analyze, emit the report, and reset the
+// interval state.
 package diag
 
 import (
@@ -19,7 +20,6 @@ import (
 	"xplacer/internal/detect"
 	"xplacer/internal/memsim"
 	"xplacer/internal/shadow"
-	"xplacer/internal/trace"
 	"xplacer/internal/whatif"
 )
 
@@ -117,23 +117,6 @@ func Analyze(entries []*shadow.Entry, title string, opt detect.Options) Report {
 		r.Findings = append(r.Findings, detect.ScanCensus(e, c, opt)...)
 	}
 	return r
-}
-
-// Print is the tracePrint analog: analyze, write the textual report to w,
-// and reset the interval shadow state.
-func Print(w io.Writer, t *trace.Tracer, title string, opt detect.Options) Report {
-	r := Analyze(t.Table().Entries(), title, opt)
-	r.Text(w)
-	t.Table().Reset()
-	return r
-}
-
-// FindingsOnly analyzes and resets like Print but emits nothing; for
-// harnesses that collect findings programmatically.
-func FindingsOnly(t *trace.Tracer, opt detect.Options) []detect.Finding {
-	r := Analyze(t.Table().Entries(), "", opt)
-	t.Table().Reset()
-	return r.Findings
 }
 
 // Text writes the summary block of one allocation in the paper's Fig. 4
@@ -350,10 +333,4 @@ func MapCSV(w io.Writer, e *shadow.Entry) {
 			bit(shadow.CPUWrote), bit(shadow.GPUWrote),
 			bit(shadow.ReadCC), bit(shadow.ReadCG), bit(shadow.ReadGC), bit(shadow.ReadGG))
 	}
-}
-
-// EntryOf finds the shadow entry for an allocation (for map rendering),
-// flushing buffered accesses first.
-func EntryOf(t *trace.Tracer, a *memsim.Alloc) *shadow.Entry {
-	return t.Table().FindByID(a.ID)
 }

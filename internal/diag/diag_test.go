@@ -41,7 +41,7 @@ func TestSummarizeCounts(t *testing.T) {
 	// Repeated writes to the same address count once (paper Fig. 4).
 	tr.TraceAccess(machine.CPU, a, a.Base, 4, memsim.Write)
 
-	e := EntryOf(tr, a)
+	e := tr.Table().FindByID(a.ID)
 	if e == nil {
 		t.Fatal("entry not found")
 	}
@@ -75,7 +75,9 @@ func TestReportTextFig4Shape(t *testing.T) {
 		tr.TraceAccess(machine.GPU, a, a.Base+memsim.Addr(i*4), 4, memsim.Read)
 	}
 	var b strings.Builder
-	r := Print(&b, tr, "after timestep 2", detect.DefaultOptions())
+	r := Analyze(tr.Table().Entries(), "after timestep 2", detect.DefaultOptions())
+	r.Text(&b)
+	tr.Table().Reset()
 	out := b.String()
 	for _, want := range []string{
 		"*** checking 1 named allocations",
@@ -93,10 +95,10 @@ func TestReportTextFig4Shape(t *testing.T) {
 	if len(r.Findings) == 0 {
 		t.Error("expected findings (low density + alternating)")
 	}
-	// Print resets the interval state.
-	s2 := Summarize(EntryOf(tr, a))
+	// Table.Reset clears the interval state.
+	s2 := Summarize(tr.Table().FindByID(a.ID))
 	if s2.WriteC != 0 || s2.Alternating != 0 {
-		t.Error("Print did not reset the shadow state")
+		t.Error("Reset did not clear the shadow state")
 	}
 }
 
@@ -132,7 +134,7 @@ func TestAccessMap(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		tr.TraceAccess(machine.CPU, a, a.Base+memsim.Addr(i*4), 4, memsim.Write)
 	}
-	e := EntryOf(tr, a)
+	e := tr.Table().FindByID(a.ID)
 	m := AccessMap(e, CPUWrites, 8)
 	if !strings.Contains(m, "####....") {
 		t.Errorf("map:\n%s", m)
@@ -153,7 +155,7 @@ func TestMapRowDownsamples(t *testing.T) {
 	for i := 500; i < 1000; i++ {
 		tr.TraceAccess(machine.GPU, a, a.Base+memsim.Addr(i*4), 4, memsim.Write)
 	}
-	row := MapRow(EntryOf(tr, a), GPUWrites, 10)
+	row := MapRow(tr.Table().FindByID(a.ID), GPUWrites, 10)
 	if row != ".....#####" {
 		t.Errorf("row = %q", row)
 	}
@@ -162,7 +164,7 @@ func TestMapRowDownsamples(t *testing.T) {
 func TestMapRowSmallerThanWidth(t *testing.T) {
 	tr, a := sim(t, 4)
 	tr.TraceAccess(machine.CPU, a, a.Base, 4, memsim.Write)
-	row := MapRow(EntryOf(tr, a), CPUWrites, 64)
+	row := MapRow(tr.Table().FindByID(a.ID), CPUWrites, 64)
 	if row != "#..." {
 		t.Errorf("row = %q", row)
 	}
@@ -175,7 +177,7 @@ func TestMapCategories(t *testing.T) {
 	tr.TraceAccess(machine.GPU, a, a.Base+4, 4, memsim.Write) // GPU write
 	tr.TraceAccess(machine.GPU, a, a.Base+4, 4, memsim.Read)  // G>G
 	tr.TraceAccess(machine.CPU, a, a.Base+4, 4, memsim.Read)  // G>C
-	e := EntryOf(tr, a)
+	e := tr.Table().FindByID(a.ID)
 	cases := []struct {
 		cat  MapCategory
 		want string
@@ -192,18 +194,6 @@ func TestMapCategories(t *testing.T) {
 		if got := MapRow(e, c.cat, 4); got != c.want {
 			t.Errorf("%v row = %q, want %q", c.cat, got, c.want)
 		}
-	}
-}
-
-func TestFindingsOnlyResets(t *testing.T) {
-	tr, a := sim(t, 100)
-	tr.TraceAccess(machine.CPU, a, a.Base, 4, memsim.Write)
-	fs := FindingsOnly(tr, detect.DefaultOptions())
-	if len(fs) == 0 {
-		t.Error("no findings returned")
-	}
-	if s := Summarize(EntryOf(tr, a)); s.WriteC != 0 {
-		t.Error("FindingsOnly did not reset")
 	}
 }
 
@@ -227,12 +217,14 @@ func TestFreedAllocationAppearsOnce(t *testing.T) {
 	tr.TraceAccess(machine.GPU, a, a.Base, 4, memsim.Write)
 	tr.TraceFree(a)
 	var b strings.Builder
-	Print(&b, tr, "", detect.DefaultOptions())
+	r := Analyze(tr.Table().Entries(), "", detect.DefaultOptions())
+	r.Text(&b)
+	tr.Table().Reset()
 	if !strings.Contains(b.String(), "[freed]") {
 		t.Errorf("freed marker missing:\n%s", b.String())
 	}
 	// After the diagnostic, the freed entry is gone.
-	r := Analyze(tr.Table().Entries(), "", detect.DefaultOptions())
+	r = Analyze(tr.Table().Entries(), "", detect.DefaultOptions())
 	if len(r.Allocs) != 0 {
 		t.Error("freed entry survived the diagnostic")
 	}
@@ -245,7 +237,9 @@ func TestTransferLineInText(t *testing.T) {
 	tr.TraceAlloc(a)
 	tr.TraceTransfer(a, um.HostToDevice, 0, 256)
 	var b strings.Builder
-	Print(&b, tr, "", detect.DefaultOptions())
+	r := Analyze(tr.Table().Entries(), "", detect.DefaultOptions())
+	r.Text(&b)
+	tr.Table().Reset()
 	if !strings.Contains(b.String(), "explicit transfers: 256 bytes in, 0 bytes out") {
 		t.Errorf("transfer line missing:\n%s", b.String())
 	}
@@ -266,7 +260,7 @@ func TestMapCSV(t *testing.T) {
 	tr.TraceAccess(machine.CPU, a, a.Base, 4, memsim.Write)
 	tr.TraceAccess(machine.GPU, a, a.Base, 4, memsim.Read)
 	var b strings.Builder
-	MapCSV(&b, EntryOf(tr, a))
+	MapCSV(&b, tr.Table().FindByID(a.ID))
 	lines := strings.Split(strings.TrimSpace(b.String()), "\n")
 	if len(lines) != 5 {
 		t.Fatalf("lines = %d, want header + 4", len(lines))

@@ -124,14 +124,6 @@ func (s *PatternsSummary) Alloc(id int) *PatternAlloc {
 	return s.byID[id]
 }
 
-// AllocByLabel returns the per-allocation digest by label, or nil.
-func (s *PatternsSummary) AllocByLabel(label string) *PatternAlloc {
-	if s == nil {
-		return nil
-	}
-	return s.byLabel[label]
-}
-
 // AnnotateHeatmap copies each allocation's pattern class onto the matching
 // heat-map row (by label), so the heat map shows how the hot words were
 // walked, not just how often.

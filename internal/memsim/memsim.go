@@ -211,9 +211,6 @@ func (s *Space) ByID(id int) *Alloc {
 // slice must not be modified.
 func (s *Space) Live() []*Alloc { return s.live }
 
-// NumAllocs returns the total number of allocations ever made.
-func (s *Space) NumAllocs() int { return len(s.allocs) }
-
 // ---------------------------------------------------------------------------
 // Typed views
 // ---------------------------------------------------------------------------

@@ -101,8 +101,10 @@ func TestClassBoundaries(t *testing.T) {
 // TestSinkRunEqualsScalars feeds one seeded stream of run records to a
 // Sink and its element-by-element explosion to another, over a table of
 // adjacent, gapped and untracked ranges, with span changes between
-// batches. Runs cross entry boundaries and run off into untracked
-// space; the classified rows must be identical.
+// batches. The first three ranges share one 4 KiB index page. Runs cross
+// entry boundaries and run off into untracked space; halfway through,
+// the second range is freed while the sinks' lookup hints are on it. The
+// classified rows must be identical.
 func TestSinkRunEqualsScalars(t *testing.T) {
 	newTable := func() *shadow.Table {
 		tb := shadow.NewTable()
@@ -123,6 +125,10 @@ func TestSinkRunEqualsScalars(t *testing.T) {
 			runs.BeginSpan(fmt.Sprintf("k%d", batch))
 			scalars.BeginSpan(fmt.Sprintf("k%d", batch))
 		}
+		if batch == 20 {
+			runs.table.Find(0x10100).Freed = true
+			scalars.table.Find(0x10100).Freed = true
+		}
 		var rb, sb []shadow.Access
 		for i := 0; i < 8; i++ {
 			a := shadow.Access{
@@ -139,6 +145,11 @@ func TestSinkRunEqualsScalars(t *testing.T) {
 			for k := int64(0); k < int64(a.Count); k++ {
 				sb = append(sb, shadow.Access{Dev: a.Dev, Kind: a.Kind, Addr: a.Addr + memsim.Addr(k*int64(a.Stride)), Size: a.Size})
 			}
+		}
+		if batch == 19 {
+			// Leave both hints on the range freed next.
+			a := shadow.Access{Dev: machine.CPU, Kind: memsim.Read, Addr: 0x10100, Size: 8}
+			rb, sb = append(rb, a), append(sb, a)
 		}
 		runs.Apply(rb, nil)
 		scalars.Apply(sb, nil)

@@ -47,7 +47,7 @@ type streamKey struct {
 // quiescent.
 type Sink struct {
 	table   *shadow.Table
-	last    *shadow.Entry // find cache, independent of the engine cursor
+	last    *shadow.Entry // lookup hint carried between batches (Table.Each)
 	cur     *Stream       // stream cursor: the common same-stream case is one compare
 	streams map[streamKey]*Stream
 	order   []*Stream
@@ -83,55 +83,17 @@ func (s *Sink) BeginSpan(name string) {
 	s.cur = nil
 }
 
-// Apply implements record.Sink.
+// Apply implements record.Sink. A scalar folds as a run of one element
+// (NoteRun with count 1 is Note); elements that start in no live entry
+// are skipped: the TableSink tallies those.
 func (s *Sink) Apply(batch []shadow.Access, _ *record.Cursor) {
-	span := len(s.spans) - 1
-	for i := range batch {
-		a := &batch[i]
-		if a.Count > 1 {
-			s.applyRange(a, span)
-			continue
-		}
-		e := s.last
-		if e == nil || e.Freed || !e.Contains(a.Addr) {
-			e = s.table.Find(a.Addr)
-			if e == nil {
-				continue // untracked: the TableSink tallies these
-			}
-			s.last = e
-		}
-		s.streamOf(span, e, a.Dev).Tracker.Note(a.Addr, int64(a.Size))
-	}
+	s.last, _ = s.table.Each(batch, s.last, s.notePiece)
 }
 
-// applyRange folds one run-length-encoded sweep, split at entry
-// boundaries exactly like the other table-backed sinks.
-func (s *Sink) applyRange(a *shadow.Access, span int) {
-	count := int(a.Count)
-	stride := int64(a.Stride)
-	addr := a.Addr
-	for k := 0; k < count; {
-		e := s.last
-		if e == nil || e.Freed || !e.Contains(addr) {
-			e = s.table.Find(addr)
-			if e == nil {
-				k++ // untracked element: the TableSink tallies these
-				addr += memsim.Addr(stride)
-				continue
-			}
-			s.last = e
-		}
-		run := count - k
-		if stride > 0 {
-			// Longest prefix whose element starts stay inside e.
-			if r := int((int64(e.End-addr)-1)/stride) + 1; r < run {
-				run = r
-			}
-		}
-		s.streamOf(span, e, a.Dev).Tracker.NoteRun(addr, run, stride, int64(a.Size))
-		k += run
-		addr += memsim.Addr(int64(run) * stride)
-	}
+// notePiece folds one piece shadow.Table.Each resolved into the current
+// span's stream for its entry and device.
+func (s *Sink) notePiece(e *shadow.Entry, a *shadow.Access, addr memsim.Addr, n int) {
+	s.streamOf(len(s.spans)-1, e, a.Dev).Tracker.NoteRun(addr, n, int64(a.Stride), int64(a.Size))
 }
 
 // streamOf returns (creating on first touch) the stream for a key.

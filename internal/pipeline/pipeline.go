@@ -1,6 +1,6 @@
 // Package pipeline is XPlacer's one frame-driven analysis pipeline: the
-// consumers a trace feeds — the shadow memory table (via record.TableSink
-// and its cursor), the per-word access heat map, and the per-span
+// consumers a trace feeds — the shadow memory table (via
+// record.TableSink), the per-word access heat map, and the per-span
 // access-pattern classifier — driven by the wire format's frame
 // vocabulary (batch, span, clock, alloc, free, label, transfer) and
 // assembled into a diag.Report. Every consumer of a decoded trace goes
@@ -33,7 +33,6 @@ type Pipeline struct {
 	plat  *machine.Platform
 	table *shadow.Table
 	tsink *record.TableSink
-	cur   record.Cursor
 	hm    *record.HeatmapSink
 	ps    *pattern.Sink
 	// now is the stream clock: the time of the last span or clock frame.
@@ -59,9 +58,9 @@ func New(plat *machine.Platform, heatEpoch machine.Duration) *Pipeline {
 }
 
 // Batch applies one access batch. Sink order matches an in-process
-// engine: table first (it owns the cursor), then heat map, then patterns.
+// engine: table first, then heat map, then patterns.
 func (p *Pipeline) Batch(batch []shadow.Access) {
-	p.tsink.Apply(batch, &p.cur)
+	p.tsink.Apply(batch, nil)
 	p.hm.Apply(batch, nil)
 	p.ps.Apply(batch, nil)
 }

@@ -171,6 +171,10 @@ type rangeOp struct {
 // calls — and requires byte-identical shadow state, identical kind and
 // untracked counts, identical heat maps, and identical findings. This is
 // the contract that makes the range fast path a pure optimization.
+// Allocations a2 and a3 are adjacent, so runs near a2's end cross into a3
+// through a 4 KiB index page the two share; halfway through, a1 is freed
+// right after an access left the sinks' lookup hints on it, and the next
+// operation sweeps it.
 //
 // Two regimes are checked. "buffered" keeps the engines' normal shard
 // buffering and uses element shapes that never straddle a 64-byte shard
@@ -227,6 +231,8 @@ func testRangeEquivalence(t *testing.T, seed int64, flushEachOp bool) {
 		}
 		ops[i] = op
 	}
+	// The sweep of the freed a1 (see build).
+	ops[numOps/2] = rangeOp{alloc: 1, count: 8, stride: elemSize, size: elemSize, dev: machine.GPU, kind: memsim.Read}
 
 	build := func(useRange bool) (*shadow.Table, *record.Engine, *record.TableSink, *record.HeatmapSink) {
 		table := shadow.NewTable()
@@ -237,11 +243,21 @@ func testRangeEquivalence(t *testing.T, seed int64, flushEachOp bool) {
 		bases := make([]memsim.Addr, numAllocs)
 		for i := range bases {
 			bases[i] = memsim.Addr(0x200000 * (i + 1))
+			if i == 3 {
+				bases[i] = bases[2] + memsim.Addr(elems[2]*elemSize)
+			}
 			if _, err := table.InsertRange(bases[i], int64(elems[i])*elemSize, fmt.Sprintf("a%d", i), memsim.Managed, "test"); err != nil {
 				t.Fatal(err)
 			}
 		}
-		for _, op := range ops {
+		for i, op := range ops {
+			if i == numOps/2 {
+				// Free a1 as trace.Tracer.TraceFree does — flush, then mark
+				// under the lock — with the hints left on its entry.
+				eng.Record(machine.CPU, bases[1], elemSize, memsim.Write)
+				eng.Flush()
+				eng.Locked(func() { table.Find(bases[1]).Freed = true })
+			}
 			base := memsim.Addr(0x50) + memsim.Addr(op.skew)
 			if op.alloc >= 0 {
 				base = bases[op.alloc] + memsim.Addr(int64(op.elem)*elemSize+op.skew)

@@ -29,7 +29,7 @@ import (
 // timeline.
 type HeatmapSink struct {
 	table *shadow.Table
-	last  *shadow.Entry // find cache, independent of the engine cursor
+	last  *shadow.Entry // lookup hint carried between batches (Table.Each)
 	heats map[*shadow.Entry]*Heat
 	order []*Heat
 	epoch int
@@ -92,46 +92,19 @@ func (h *HeatmapSink) RotateOnClock(every machine.Duration, now func() machine.D
 	h.nextTick = h.epochFrom + every
 }
 
-// Apply implements Sink. Every batch — scalar or range-compacted — goes
-// through the same maybeRotate check before any counting, so a range
-// record draining after the simulated clock crossed a RotateOnClock
-// boundary lands in the epoch containing its drain time and can never
-// leak into the already-closed epoch.
+// Apply implements Sink. Every batch goes through the same maybeRotate
+// check before any counting, so a range record draining after the
+// simulated clock crossed a RotateOnClock boundary lands in the epoch
+// containing its drain time and can never leak into the already-closed
+// epoch. Elements that start in no live entry are skipped: the TableSink
+// tallies those.
 func (h *HeatmapSink) Apply(batch []shadow.Access, _ *Cursor) {
 	h.maybeRotate()
-	for i := range batch {
-		a := &batch[i]
-		if a.Count > 1 {
-			h.applyRange(a)
-			continue
-		}
-		e := h.last
-		if e == nil || e.Freed || !e.Contains(a.Addr) {
-			e = h.table.Find(a.Addr)
-			if e == nil {
-				continue // untracked: the TableSink tallies these
-			}
-			h.last = e
-		}
-		ht := h.heatOf(e)
-		d := a.Dev
-		if int(d) >= len(ht.Counts) {
-			continue
-		}
-		first := int(a.Addr-e.Base) / shadow.WordSize
-		last := int(a.Addr+memsim.Addr(a.Size)-1-e.Base) / shadow.WordSize
-		if last >= ht.Words {
-			last = ht.Words - 1
-		}
-		for w := first; w <= last; w++ {
-			ht.Counts[d][w]++
-		}
-		ht.Totals[d] += uint64(last - first + 1)
-	}
+	h.last, _ = h.table.Each(batch, h.last, h.countPiece)
 }
 
 // maybeRotate closes epochs the simulated clock has crossed since the
-// last batch; shared by the scalar and range paths.
+// last batch.
 func (h *HeatmapSink) maybeRotate() {
 	if h.now == nil {
 		return
@@ -161,67 +134,33 @@ func (h *HeatmapSink) heatOf(e *shadow.Entry) *Heat {
 	return ht
 }
 
-// applyRange counts one run-length-encoded sweep without exploding it
-// into scalar records. Per-word counts stay element-exact: a run of
+// countPiece counts one piece shadow.Table.Each resolved: n elements of
+// a starting at addr, all in e. Per-word counts stay element-exact: an
+// access spanning several words counts once per word, and a run of
 // word-aligned, gapless, non-overlapping elements (stride == size,
-// word-multiple) bumps each covered word once in a single pass; any other
-// shape falls back to counting element by element, exactly as the scalar
-// path would have.
-func (h *HeatmapSink) applyRange(a *shadow.Access) {
-	count := int(a.Count)
-	stride := int64(a.Stride)
-	addr := a.Addr
-	for k := 0; k < count; {
-		e := h.last
-		if e == nil || e.Freed || !e.Contains(addr) {
-			e = h.table.Find(addr)
-			if e == nil {
-				k++ // untracked element: the TableSink tallies these
-				addr += memsim.Addr(stride)
-				continue
-			}
-			h.last = e
-		}
-		run := count - k
-		if stride > 0 {
-			// Longest prefix whose element starts stay inside e.
-			if r := int((int64(e.End-addr)-1)/stride) + 1; r < run {
-				run = r
-			}
-		}
-		if ht := h.heatOf(e); int(a.Dev) < len(ht.Counts) {
-			h.countRun(ht, a.Dev, addr, run, stride, int64(a.Size))
-		}
-		k += run
-		addr += memsim.Addr(int64(run) * stride)
-	}
-}
-
-// countRun adds one entry-local run to a heat's counts.
-func (h *HeatmapSink) countRun(ht *Heat, d machine.Device, addr memsim.Addr, run int, stride, size int64) {
-	if stride == size && addr%shadow.WordSize == 0 && stride%shadow.WordSize == 0 {
-		// Gapless, aligned, non-overlapping: each covered word belongs to
-		// exactly one element — count the whole span in one pass.
-		first := int(addr-ht.Base) / shadow.WordSize
-		last := int(addr+memsim.Addr(int64(run)*stride)-1-ht.Base) / shadow.WordSize
-		if last >= ht.Words {
-			last = ht.Words - 1
-		}
-		for w := first; w <= last; w++ {
-			ht.Counts[d][w]++
-		}
-		ht.Totals[d] += uint64(last - first + 1)
+// word-multiple) — where each covered word belongs to exactly one
+// element — is counted as one span in a single pass; any other run
+// element by element.
+func (h *HeatmapSink) countPiece(e *shadow.Entry, a *shadow.Access, addr memsim.Addr, n int) {
+	ht := h.heatOf(e)
+	d := a.Dev
+	if int(d) >= len(ht.Counts) {
 		return
 	}
-	for k := 0; k < run; k++ {
-		a := addr + memsim.Addr(int64(k)*stride)
-		first := int(a-ht.Base) / shadow.WordSize
-		last := int(a+memsim.Addr(size)-1-ht.Base) / shadow.WordSize
+	stride, size := int64(a.Stride), int64(a.Size)
+	if stride == size && addr%shadow.WordSize == 0 && stride%shadow.WordSize == 0 {
+		size, n = int64(n)*stride, 1
+	}
+	counts := ht.Counts[d]
+	for k := 0; k < n; k++ {
+		el := addr + memsim.Addr(int64(k)*stride)
+		first := int(el-ht.Base) / shadow.WordSize
+		last := int(el+memsim.Addr(size)-1-ht.Base) / shadow.WordSize
 		if last >= ht.Words {
 			last = ht.Words - 1
 		}
 		for w := first; w <= last; w++ {
-			ht.Counts[d][w]++
+			counts[w]++
 		}
 		ht.Totals[d] += uint64(last - first + 1)
 	}

@@ -1,12 +1,14 @@
 // Package record is the shared recording engine behind XPlacer's two
 // instrumentation front ends: the simulated runtime (internal/trace) and
 // the plain-Go runtime (xplrt). Both front ends used to carry their own
-// copy of the same machinery — access buffers, batched drains with a
-// last-entry SMT lookup cache, enable/disable, flush semantics. The
-// engine owns exactly one implementation of it, parameterized by a small
-// Sink interface, so every observer of the access stream (the canonical
-// shadow-table sink, access heat maps, pattern classifiers, wire streams)
-// plugs in once and works for every front end.
+// copy of the same machinery — access buffers, batched drains,
+// enable/disable, flush semantics. The engine owns exactly one
+// implementation of it, parameterized by a small Sink interface, so every
+// observer of the access stream (the canonical shadow-table sink, access
+// heat maps, pattern classifiers, wire streams) plugs in once and works
+// for every front end. The table-backed sinks resolve a drained batch
+// against the shadow table through one walk, shadow.Table.Each, each
+// carrying its own last-entry lookup hint between batches.
 //
 // # Hot path
 //
@@ -165,7 +167,7 @@ func setScalar(a *shadow.Access, dev machine.Device, addr memsim.Addr, size int6
 // end. A sweep of N contiguous elements then occupies one RLE record
 // instead of N scalars. Exact per word: a contiguous run replays element
 // by element with one device and kind (shadow.Entry.recordRange,
-// HeatmapSink.countRun, pattern.Tracker.NoteRun), so per-word results and
+// HeatmapSink.countPiece, pattern.Tracker.NoteRun), so per-word results and
 // per-element counts equal the scalar explosion's. Zero and negative
 // sizes never grow: a zero-size scalar can touch a word that a zero-size
 // run does not.
@@ -184,24 +186,14 @@ func extendRun(p *shadow.Access, dev machine.Device, size int64, kind memsim.Acc
 	return true
 }
 
-// Cursor carries per-buffer sink state across batch applies: the
-// last-entry SMT lookup cache TableSink seeds RecordAll with, and the
-// engine generation the cache was filled under. The engine keeps one
-// cursor for the merged Record stream and one per Buffer, and nils the
-// cached entry whenever the generation moved (Invalidate) so a front end
-// that swaps its table can never apply a batch against a stale
-// *shadow.Entry.
-type Cursor struct {
-	// Last is the last shadow entry the sink resolved; nil after an
-	// invalidation.
-	Last *shadow.Entry
-	gen  uint64
-}
+// Cursor is the second parameter of Sink.Apply. It carries nothing: each
+// sink keeps its own lookup hint, and the engine passes nil. The type
+// stays only so existing Sink implementations keep their signature.
+type Cursor struct{}
 
 // Sink consumes drained access batches. Apply calls are serialized by the
-// engine's lock and receive batches in per-word recording order. cur is
-// the batch's cursor; only the table-backed sink uses it, so an engine
-// should host at most one cursor-consuming sink.
+// engine's lock and receive batches in per-word recording order. The
+// cursor argument is unused (nil from the engine).
 type Sink interface {
 	Apply(batch []shadow.Access, cur *Cursor)
 }
@@ -276,9 +268,6 @@ type Engine struct {
 	// disabled is the recording switch; the zero value means enabled, so
 	// the hot path pays one atomic load and no initialization check.
 	disabled atomic.Bool
-	// gen is the cache generation; Invalidate bumps it and every cursor
-	// re-syncs (dropping its cached entry) at its next apply.
-	gen atomic.Uint64
 	// occupied has bit i set while slot i holds records. A recorder sets
 	// the bit when it takes an empty slot, a sweep or reset clears it
 	// while holding the slot's lock, so under the slot lock the bit is
@@ -304,10 +293,6 @@ type Engine struct {
 	// gathers the occupied slots' records into; guarded by flushMu.
 	scratch    []shadow.Access
 	scratchSeq []uint64
-	// mergedCur is the single sink cursor for the merged Record stream
-	// (per-slot cursors would be meaningless: slots hold execution
-	// locality, not address locality); guarded by mu.
-	mergedCur Cursor
 }
 
 // NewEngine returns an enabled engine draining into the given sinks.
@@ -477,14 +462,10 @@ func (e *Engine) recordRun(dev machine.Device, base memsim.Addr, count int, stri
 	}
 }
 
-// applyLocked re-syncs the cursor against the current generation and
-// feeds the batch to every sink; the caller holds e.mu.
-func (e *Engine) applyLocked(batch []shadow.Access, cur *Cursor) {
-	if g := e.gen.Load(); cur.gen != g {
-		cur.Last, cur.gen = nil, g
-	}
+// applyLocked feeds the batch to every sink; the caller holds e.mu.
+func (e *Engine) applyLocked(batch []shadow.Access) {
 	for _, s := range e.sinks {
-		s.Apply(batch, cur)
+		s.Apply(batch, nil)
 	}
 }
 
@@ -594,7 +575,7 @@ func (e *Engine) sweep() {
 	}
 	e.tally(e.scratch)
 	e.mu.Lock()
-	e.applyLocked(e.scratch, &e.mergedCur)
+	e.applyLocked(e.scratch)
 	e.mu.Unlock()
 }
 
@@ -626,17 +607,10 @@ func (e *Engine) Locked(fn func()) {
 	fn()
 }
 
-// Invalidate bumps the cache generation: every cursor drops its cached
-// shadow entry before its next apply. Callers replacing sink state (e.g.
-// installing a fresh shadow table) must call it inside the same Locked
-// section as the swap, so no batch can apply a stale cache against the
-// new state.
-func (e *Engine) Invalidate() { e.gen.Add(1) }
-
 // Reset discards all buffered accesses without applying them, zeroes the
-// kind counters, drops every cursor cache, and re-enables recording.
-// Buffers created before the reset re-sync their cursors via the
-// generation bump on their next drain.
+// kind counters, and re-enables recording. Sink state, lookup hints
+// included, is the sinks' own: a front end that swaps its table does so
+// through TableSink.SetTable.
 func (e *Engine) Reset() {
 	// Serialize against sweeps so a concurrent Flush cannot interleave
 	// drained and discarded slots. Only the locked slots' bits clear: a
@@ -652,7 +626,6 @@ func (e *Engine) Reset() {
 	e.reads.Store(0)
 	e.writes.Store(0)
 	e.readWrites.Store(0)
-	e.Invalidate()
 	e.disabled.Store(false)
 }
 
@@ -682,7 +655,6 @@ func (e *Engine) Counts() Counts {
 type Buffer struct {
 	e   *Engine
 	buf []shadow.Access
-	cur Cursor
 	// next is where an access must start to continue the last record:
 	// the end of its last element.
 	next memsim.Addr
@@ -761,7 +733,7 @@ func (b *Buffer) Flush() {
 	b.e.Flush()
 	b.e.tally(b.buf)
 	b.e.mu.Lock()
-	b.e.applyLocked(b.buf, &b.cur)
+	b.e.applyLocked(b.buf)
 	b.e.mu.Unlock()
 	b.buf = b.buf[:0]
 }

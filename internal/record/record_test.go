@@ -93,17 +93,16 @@ func TestBufferDrainFlushesSlotsFirst(t *testing.T) {
 	}
 }
 
-// TestSwapTableInvalidatesCursors is the regression test for the
-// generation trick: replacing the table mid-stream (under Locked, with
-// Invalidate) must prevent later batches from applying against a cached
-// *shadow.Entry of the old table — for the merged-stream cursor and
-// buffer cursors alike.
+// TestSwapTableInvalidatesCursors checks that replacing the table
+// mid-stream (SetTable under Locked) keeps later batches from applying
+// against the TableSink's lookup hint into the old table — for the
+// merged Record stream and Buffer batches alike.
 func TestSwapTableInvalidatesCursors(t *testing.T) {
 	eng, sink := newTableEngine(t, 0x1000, 64)
 	oldEntry := entryOf(t, sink, 0x1000)
 
 	buf := eng.NewBuffer()
-	// Fill both cursors' caches with the old table's entry.
+	// Leave the sink's lookup hint on the old table's entry.
 	eng.Record(machine.CPU, 0x1000, 4, memsim.Write)
 	buf.Record(machine.CPU, 0x1004, 4, memsim.Write)
 	buf.Flush()
@@ -114,10 +113,7 @@ func TestSwapTableInvalidatesCursors(t *testing.T) {
 	if _, err := newTable.InsertRange(0x1000, 64, "a2", memsim.Managed, "test"); err != nil {
 		t.Fatal(err)
 	}
-	eng.Locked(func() {
-		sink.SetTable(newTable)
-		eng.Invalidate()
-	})
+	eng.Locked(func() { sink.SetTable(newTable) })
 	oldShadow := append([]byte(nil), oldEntry.Shadow...)
 
 	// Record through both paths again: everything must land in the new

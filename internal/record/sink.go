@@ -7,12 +7,15 @@ import (
 )
 
 // TableSink is the canonical sink: it applies batches to a shadow memory
-// table via RecordAll, carrying the engine cursor as the last-entry
-// lookup cache and tallying accesses that hit no traced entry. Apply runs
+// table via RecordAll, carrying its own last-entry lookup hint from batch
+// to batch and tallying accesses that hit no traced entry. Apply runs
 // under the engine lock, which is also the lock protecting the table —
 // front ends inspect or mutate the table only inside Engine.Locked.
 type TableSink struct {
-	table     *shadow.Table
+	table *shadow.Table
+	// last is the entry the previous batch resolved last; RecordAll trusts
+	// it only while it holds the next address (shadow.Entry.Holds).
+	last      *shadow.Entry
 	untracked atomic.Int64
 }
 
@@ -22,9 +25,9 @@ func NewTableSink(t *shadow.Table) *TableSink {
 }
 
 // Apply implements Sink.
-func (s *TableSink) Apply(batch []shadow.Access, cur *Cursor) {
-	last, untracked := s.table.RecordAll(batch, cur.Last)
-	cur.Last = last
+func (s *TableSink) Apply(batch []shadow.Access, _ *Cursor) {
+	last, untracked := s.table.RecordAll(batch, s.last)
+	s.last = last
 	if untracked > 0 {
 		s.untracked.Add(int64(untracked))
 	}
@@ -36,11 +39,11 @@ func (s *TableSink) Apply(batch []shadow.Access, cur *Cursor) {
 func (s *TableSink) Table() *shadow.Table { return s.table }
 
 // SetTable installs a fresh table, starting a new analysis; the untracked
-// count restarts with it. Call inside the same Engine.Locked section as
-// an Engine.Invalidate, so no batch can apply a cursor cached against the
-// old table.
+// count restarts with it, and the lookup hint is dropped, so no batch
+// applies against an entry of the old table. Call inside Engine.Locked.
 func (s *TableSink) SetTable(t *shadow.Table) {
 	s.table = t
+	s.last = nil
 	s.untracked.Store(0)
 }
 

@@ -144,6 +144,13 @@ func (e *Entry) Words() int { return len(e.Shadow) }
 // Contains reports whether addr lies in the entry's range.
 func (e *Entry) Contains(addr memsim.Addr) bool { return addr >= e.Base && addr < e.End }
 
+// Holds reports whether e is a live (not Freed) entry containing addr; a
+// nil entry holds nothing. It is the test every lookup hint passes before
+// it is trusted in place of a Find.
+func (e *Entry) Holds(addr memsim.Addr) bool {
+	return e != nil && !e.Freed && addr >= e.Base && addr < e.End
+}
+
 // wordIndex maps an address to its shadow byte index.
 func (e *Entry) wordIndex(addr memsim.Addr) int { return int(addr-e.Base) / WordSize }
 
@@ -468,12 +475,75 @@ func (a *Access) Elems() int64 {
 	return 1
 }
 
+// Each resolves a batch of accesses against the table and calls fn once
+// per traced piece: n elements of a, the first starting at addr, whose
+// element starts all lie in the live entry e. A scalar (Count 0 or 1) is
+// one piece of one element; a run splits into the longest stretches whose
+// element starts lie in one live entry. An element that starts in no live
+// entry is skipped and counted in untracked. hint seeds the lookup: an
+// element start that the last resolved entry holds (Entry.Holds) needs
+// no Find. last is the entry of the last piece, or hint if none
+// resolved; callers carry it to their next batch.
+//
+// This is the one address-to-entry rule of every table-backed consumer —
+// the shadow update, the heat map and the pattern classifier — so each
+// attributes an element to the same allocation.
+func (t *Table) Each(batch []Access, hint *Entry, fn func(e *Entry, a *Access, addr memsim.Addr, n int)) (last *Entry, untracked int) {
+	last = hint
+	for i := range batch {
+		a := &batch[i]
+		if a.Count <= 1 {
+			// Scalars, the common drained shape, skip the run loop.
+			e := last
+			if !e.Holds(a.Addr) {
+				if e = t.Find(a.Addr); e == nil {
+					untracked++
+					continue
+				}
+				last = e
+			}
+			fn(e, a, a.Addr, 1)
+			continue
+		}
+		count, stride, addr := int(a.Count), int64(a.Stride), a.Addr
+		for k := 0; k < count; {
+			e := last
+			if !e.Holds(addr) {
+				if e = t.Find(addr); e == nil {
+					untracked++
+					k++
+					addr += memsim.Addr(stride)
+					continue
+				}
+				last = e
+			}
+			n := count - k
+			if stride > 0 {
+				// Longest prefix whose element starts stay inside e.
+				if r := int((int64(e.End-addr)-1)/stride) + 1; r < n {
+					n = r
+				}
+			}
+			fn(e, a, addr, n)
+			k += n
+			addr += memsim.Addr(int64(n) * stride)
+		}
+	}
+	return last, untracked
+}
+
+// recordPiece applies one piece Each resolved to its entry's shadow.
+func recordPiece(e *Entry, a *Access, addr memsim.Addr, n int) {
+	e.recordRange(addr, n, int64(a.Stride), int64(a.Size), a.Dev, a.Kind)
+}
+
 // RecordAll applies a batch of buffered accesses in order. hint seeds the
 // last-entry lookup cache: consecutive accesses into the same allocation
 // skip the SMT search entirely, which is what makes batched draining
 // cheaper than per-access Find calls. It returns the final cache value
-// (for the caller to carry across batches, per buffer) and the number of
-// accesses that hit no traced entry. Cache hits do not count as Lookups.
+// (for the caller to carry to its next batch) and the number of accesses
+// that hit no traced entry. Cache hits do not count as Lookups. Run
+// records resolve through Each.
 //
 // Consecutive scalar accesses that sweep one entry with the same device
 // and kind — the dominant drained shape, a loop walking an array —
@@ -491,13 +561,13 @@ func (t *Table) RecordAll(batch []Access, hint *Entry) (last *Entry, untracked i
 		a := &batch[i]
 		if a.Count > 1 {
 			var un int
-			last, un = t.recordRange(a, last)
+			last, un = t.Each(batch[i:i+1], last, recordPiece)
 			untracked += un
 			i++
 			continue
 		}
 		e := last
-		if e == nil || e.Freed || !e.Contains(a.Addr) {
+		if !e.Holds(a.Addr) {
 			e = t.Find(a.Addr)
 			if e == nil {
 				untracked++
@@ -530,41 +600,6 @@ func (t *Table) RecordAll(batch []Access, hint *Entry) (last *Entry, untracked i
 		}
 		e.applyWords(first, lastW, a.Dev, a.Kind)
 		i = j
-	}
-	return last, untracked
-}
-
-// recordRange resolves a run-length-encoded sweep against the table and
-// applies it entry by entry: each traced sub-run becomes one bulk
-// recordRange on its entry, and elements that start in no traced entry
-// count as untracked exactly like their scalar equivalents would.
-func (t *Table) recordRange(a *Access, hint *Entry) (last *Entry, untracked int) {
-	last = hint
-	count := int(a.Count)
-	stride := int64(a.Stride)
-	addr := a.Addr
-	for k := 0; k < count; {
-		e := last
-		if e == nil || e.Freed || !e.Contains(addr) {
-			e = t.Find(addr)
-		}
-		if e == nil {
-			untracked++
-			k++
-			addr += memsim.Addr(stride)
-			continue
-		}
-		last = e
-		run := count - k
-		if stride > 0 {
-			// Longest prefix whose element starts stay inside e.
-			if r := int((int64(e.End-addr)-1)/stride) + 1; r < run {
-				run = r
-			}
-		}
-		e.recordRange(addr, run, stride, int64(a.Size), a.Dev, a.Kind)
-		k += run
-		addr += memsim.Addr(int64(run) * stride)
 	}
 	return last, untracked
 }

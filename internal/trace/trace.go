@@ -180,7 +180,7 @@ func (t *Tracer) TraceAccess(dev machine.Device, _ *memsim.Alloc, addr memsim.Ad
 	t.eng.Record(dev, addr, size, kind)
 }
 
-// TraceAccessRange implements cuda.RangeTracer: a strided sweep of count
+// TraceAccessRange implements cuda.Tracer: a strided sweep of count
 // elements of size bytes, the k-th at addr + k*stride, recorded as one
 // run-length-encoded entry with the exact per-word semantics of count
 // TraceAccess calls in ascending order.

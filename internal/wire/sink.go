@@ -267,7 +267,7 @@ func (s *StreamSink) enqueueLocked(enc []byte, recs int64, wait bool) {
 	if s.werr != nil {
 		// The writer is dead: nothing can ever drain, so blocking would
 		// deadlock the recording engine. Count the loss and surface the
-		// error via Err/Close.
+		// error via Close.
 		s.dropSegs++
 		s.dropRecs += recs
 		s.dropBytes += int64(len(enc))
@@ -358,14 +358,6 @@ func (s *StreamSink) Close() error {
 	s.cond.Broadcast()
 	s.mu.Unlock()
 	<-s.done
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.werr
-}
-
-// Err returns the first write error, if any (Apply cannot return one —
-// record.Sink is fire-and-forget).
-func (s *StreamSink) Err() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.werr

@@ -29,17 +29,17 @@
 //
 // Trace calls do not touch the shadow table directly: the package is a
 // front end over the shared recording engine (internal/record), which
-// owns the per-P slot buffers, the stamp-ordered drain with its
-// last-entry SMT cache, and the flush-ordering guarantees (see the
-// package record documentation). Scope-less TraceR/W/RW calls record
-// through the engine's slot path; ScopeR/W/RW calls append to the
-// scope's private engine Buffer with no locking at all. Both paths
-// coalesce an access that contiguously continues the previous record
-// into a run. Buffered accesses become visible to diagnostics only at
-// flush points: TracePrint, Report, OnDevice return, and explicit Flush
-// calls (process-wide xplrt.Flush for the slots, DeviceScope.Flush for a
-// scope); a scope drain flushes the slots first, so accesses recorded
-// before the device section are applied before the section's own.
+// owns the per-P slot buffers, the stamp-ordered drain, and the
+// flush-ordering guarantees (see the package record documentation).
+// Scope-less TraceR/W/RW calls record through the engine's slot path;
+// ScopeR/W/RW calls append to the scope's private engine Buffer with no
+// locking at all. Both paths coalesce an access that contiguously
+// continues the previous record into a run. Buffered accesses become
+// visible to diagnostics only at flush points: TracePrint, Report,
+// OnDevice return, and explicit Flush calls (process-wide xplrt.Flush for
+// the slots, DeviceScope.Flush for a scope); a scope drain flushes the
+// slots first, so accesses recorded before the device section are
+// applied before the section's own.
 package xplrt
 
 import (
@@ -77,12 +77,12 @@ type runtime struct {
 	eng  *record.Engine
 	opt  detect.Options
 
-	// stream, when set (EnableStream), receives every drained batch plus
-	// the Register/Release life-cycle events, so an aggregator can rebuild
-	// the allocation table remotely. nextAllocID numbers registrations for
-	// the wire — the local table keeps real addresses, but free frames
-	// reference allocations by id.
-	stream      *wire.StreamSink
+	// streams are the attached wire sinks (EnableStream). Each receives
+	// every drained batch plus the Register/Release life-cycle events, so
+	// an aggregator can rebuild the allocation table remotely. nextAllocID
+	// numbers registrations for the wire — the local table keeps real
+	// addresses, but free frames reference allocations by id.
+	streams     []*wire.StreamSink
 	nextAllocID int
 }
 
@@ -111,9 +111,6 @@ func Reset() {
 	rt.eng.Locked(func() {
 		rt.sink.SetTable(shadow.NewTable())
 		rt.opt = detect.DefaultOptions()
-		// Invalidate inside the same locked section as the table swap: no
-		// batch may apply a cached *shadow.Entry against the new table.
-		rt.eng.Invalidate()
 	})
 	defaultDev.Store(uint32(CPU))
 }
@@ -161,10 +158,11 @@ func EnablePatterns() *pattern.Sink {
 // batches and Register/Release events are forwarded on the wire so an
 // aggregator (cmd/xplagg) can mirror the allocation table and analyses.
 // Real heap addresses go on the wire as-is — the remote table is keyed by
-// the same addresses the local one is. The caller owns Close on the sink
-// (after a final Flush); a later Reset does not detach it.
+// the same addresses the local one is. Several sinks may be attached;
+// each sees the same frames. The caller owns Close on the sink (after a
+// final Flush); a later Reset does not detach it.
 func EnableStream(ss *wire.StreamSink) {
-	rt.eng.Locked(func() { rt.stream = ss })
+	rt.eng.Locked(func() { rt.streams = append(rt.streams, ss) })
 	rt.eng.AddSink(ss)
 }
 
@@ -366,10 +364,13 @@ func Register(v any, label string) {
 		// like CUDA managed memory — which also makes the alternating-access
 		// detector apply to it.
 		e, err := rt.sink.Table().InsertRange(memsim.Addr(base), size, label, memsim.Managed, "xplrt.Register")
-		if err == nil && rt.stream != nil {
-			e.AllocID = rt.nextAllocID
-			rt.nextAllocID++
-			rt.stream.Alloc(wire.AllocInfo{
+		if err != nil || len(rt.streams) == 0 {
+			return
+		}
+		e.AllocID = rt.nextAllocID
+		rt.nextAllocID++
+		for _, ss := range rt.streams {
+			ss.Alloc(wire.AllocInfo{
 				ID: e.AllocID, Base: e.Base, Size: size,
 				Kind: memsim.Managed, Label: label, Fn: "xplrt.Register",
 			})
@@ -390,8 +391,10 @@ func Release(v any) {
 	rt.eng.Locked(func() {
 		if e := rt.sink.Table().Find(memsim.Addr(base)); e != nil {
 			e.Freed = true
-			if rt.stream != nil && e.AllocID >= 0 {
-				rt.stream.Free(e.AllocID)
+			if e.AllocID >= 0 {
+				for _, ss := range rt.streams {
+					ss.Free(e.AllocID)
+				}
 			}
 		}
 	})

@@ -1,14 +1,21 @@
 package xplrt
 
 import (
+	"bytes"
+	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"unsafe"
 
 	"xplacer/internal/detect"
+	"xplacer/internal/diag"
+	"xplacer/internal/machine"
 	"xplacer/internal/memsim"
+	"xplacer/internal/pipeline"
 	"xplacer/internal/shadow"
+	"xplacer/internal/wire"
 )
 
 // Each test runs against the process-global runtime; reset first.
@@ -391,4 +398,53 @@ func TestEnableHeatmap(t *testing.T) {
 		t.Errorf("totals = %v", h.Totals)
 	}
 	Report()
+}
+
+// TestEnableStreamTwice attaches two stream sinks and replays each: both
+// must carry the allocation's life-cycle frames, not only the sink
+// attached last, so the two replayed reports list the allocation and
+// agree.
+func TestEnableStreamTwice(t *testing.T) {
+	Reset()
+	// Streams outlive Reset; a fresh runtime detaches the closed sinks
+	// from the tests that follow.
+	t.Cleanup(func() { rt = newRuntime() })
+	var bufs [2]bytes.Buffer
+	var sinks [2]*wire.StreamSink
+	for i := range sinks {
+		ss, err := wire.NewStreamSink(&bufs[i], wire.Config{Hello: wire.Hello{Tenant: "t", Process: fmt.Sprintf("p%d", i)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		EnableStream(ss)
+		sinks[i] = ss
+	}
+	xs := Slice[float64](64, "xs")
+	for i := range xs {
+		*TraceW(&xs[i]) = 1
+	}
+	Release(xs)
+	Flush()
+	var reports [2]diag.Report
+	for i, ss := range sinks {
+		if err := ss.Close(); err != nil {
+			t.Fatal(err)
+		}
+		pl := pipeline.New(machine.IntelPascal(), 0)
+		err := wire.ReadStream(bytes.NewReader(bufs[i].Bytes()), wire.StreamHandler{
+			Hello: func(wire.Hello) (wire.Handler, error) { return pl.Handler(), nil },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		reports[i] = pl.Report("")
+	}
+	for i, r := range reports {
+		if len(r.Allocs) != 1 || r.Allocs[0].Label != "xs" || !r.Allocs[0].Freed || r.Allocs[0].WriteC != 128 {
+			t.Errorf("stream %d replays allocations %+v, want xs freed with 128 CPU-written words", i, r.Allocs)
+		}
+	}
+	if !reflect.DeepEqual(reports[0], reports[1]) {
+		t.Errorf("replayed reports differ:\n%+v\n%+v", reports[0], reports[1])
+	}
 }
