@@ -21,6 +21,7 @@ import (
 
 	"xplacer/internal/agg"
 	"xplacer/internal/bench"
+	"xplacer/internal/cuda"
 	"xplacer/internal/detect"
 	"xplacer/internal/diag"
 	"xplacer/internal/machine"
@@ -295,6 +296,52 @@ func BenchmarkSlotRecord(b *testing.B) {
 			*xplrt.TraceW(&x[i&(n-1)]) = 1
 		}
 		xplrt.Flush()
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns_per_access")
+	})
+}
+
+// simAccessSink keeps BenchmarkSimAccess's loaded values live.
+var simAccessSink float64
+
+// BenchmarkSimAccess measures the simulator's own per-access cost —
+// cuda.Exec through the UM page state machine, untraced — which the
+// perfbench overhead_x ratio divides out, so a slower simulator shows up
+// there only as a lower ratio. Host is memsim.Float64View stores on the
+// host Exec; Kernel is loads inside one kernel launch. Both sweep one
+// managed allocation of eight 64 KiB pages that a warm-up pass has
+// already placed where the accesses run. The metric is ns per access.
+func BenchmarkSimAccess(b *testing.B) {
+	const n = 1 << 16
+	ctx := cuda.MustContext(machine.IntelPascal())
+	a, err := ctx.MallocManaged(n*8, "x")
+	if err != nil {
+		b.Fatal(err)
+	}
+	v := memsim.Float64s(a)
+	b.Run("Host", func(b *testing.B) {
+		host := ctx.Host()
+		for i := int64(0); i < n; i++ {
+			v.Store(host, i, 1)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			v.Store(host, int64(i&(n-1)), 1)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns_per_access")
+	})
+	b.Run("Kernel", func(b *testing.B) {
+		var sum float64
+		ctx.LaunchSync("load", func(e *cuda.Exec) {
+			for i := int64(0); i < n; i++ {
+				sum += v.Load(e, i)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sum += v.Load(e, int64(i&(n-1)))
+			}
+			b.StopTimer()
+		})
+		simAccessSink = sum
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns_per_access")
 	})
 }

@@ -20,6 +20,7 @@ package cuda
 import (
 	"fmt"
 	"io"
+	"math/bits"
 
 	"xplacer/internal/machine"
 	"xplacer/internal/memsim"
@@ -174,9 +175,11 @@ type Context struct {
 
 	profile bool
 
-	// What-if capture state (SetWhatIfCapture).
-	whatif    bool
+	// pageShift converts an allocation offset to the page index the UM
+	// driver and the what-if capture key pages by.
 	pageShift uint
+	// What-if capture state (SetWhatIfCapture).
+	whatif bool
 	// Applied-placement state (SetPlacement).
 	placements     map[string]um.Placement
 	overridden     map[int]bool // alloc IDs whose placement was overridden
@@ -198,10 +201,11 @@ func NewContext(plat *machine.Platform) (*Context, error) {
 	drv := um.NewDriver(plat, space)
 	drv.SetTimeline(tl)
 	ctx := &Context{
-		plat:  plat,
-		space: space,
-		drv:   drv,
-		tl:    tl,
+		plat:      plat,
+		space:     space,
+		drv:       drv,
+		tl:        tl,
+		pageShift: uint(bits.TrailingZeros64(uint64(plat.PageSize))),
 	}
 	ctx.streams = []*Stream{{ctx: ctx, id: 0}}
 	ctx.host = &Exec{ctx: ctx, dev: machine.CPU, host: true}
@@ -252,14 +256,7 @@ func (c *Context) SetProfiling(on bool) { c.profile = on }
 // pure Work opens a host-phase window so it is accounted to a span. The
 // per-element hot path gains no events and no driver work — aggregation
 // piggybacks on the per-access driver call already made. Off by default.
-func (c *Context) SetWhatIfCapture(on bool) {
-	c.whatif = on
-	if on && c.pageShift == 0 {
-		for int64(1)<<c.pageShift != c.plat.PageSize {
-			c.pageShift++
-		}
-	}
-}
+func (c *Context) SetWhatIfCapture(on bool) { c.whatif = on }
 
 // SetPlacement arranges for the next allocation created with the given
 // label to be placed under policy p instead of what the program asks for —
@@ -988,7 +985,19 @@ func (e *Exec) access(a *memsim.Alloc, addr memsim.Addr, size int64, kind memsim
 	if t := e.ctx.tracer; traced && t != nil {
 		t.TraceAccess(e.dev, a, addr, size, kind)
 	}
-	cost := e.ctx.drv.Access(e.dev, a, addr, size, kind)
+	// One access through the UM page state machine, counted the way the
+	// what-if capture counts it: a read-modify-write is a write. Sizes
+	// are positive, so a shift replaces the signed division by 4, and
+	// masking the page shift spares the compiler's oversized-shift
+	// check: this runs once per simulated access.
+	page := int32(int64(addr-a.Base) >> (e.ctx.pageShift & 63))
+	words := (size + 3) >> 2
+	write := kind != memsim.Read
+	reads, writes := words, int64(0)
+	if write {
+		reads, writes = 0, words
+	}
+	cost := e.ctx.drv.Access(e.dev, a, page, reads, writes, 1)
 	if e.host {
 		// Host code advances the host clock directly; every cost component
 		// serializes (host faults are serviced one at a time). The access
@@ -999,7 +1008,7 @@ func (e *Exec) access(a *memsim.Alloc, addr memsim.Addr, size int64, kind memsim
 		t := cost.HostTime(e.ctx.plat)
 		e.ctx.noteHostAccess(cost, t)
 		if e.ctx.whatif {
-			e.ctx.hostWin.cap.note(a.ID, int32(int64(addr-a.Base)>>e.ctx.pageShift), (size+3)/4, kind != memsim.Read)
+			e.ctx.hostWin.cap.note(a.ID, page, words, write)
 		}
 		e.ctx.tl.Clock().Advance(t)
 		return
@@ -1013,7 +1022,7 @@ func (e *Exec) access(a *memsim.Alloc, addr memsim.Addr, size int64, kind memsim
 	e.notePage(st, addr)
 	st.pat.Note(addr, size)
 	if e.ctx.whatif {
-		e.cap.note(a.ID, int32(int64(addr-a.Base)>>e.ctx.pageShift), (size+3)/4, kind != memsim.Read)
+		e.cap.note(a.ID, page, words, write)
 	}
 	if e.ctx.plat.GPUL2Bytes > 0 && cost.Remote == 0 && cost.Faults == 0 {
 		e.noteLine(st, addr, size)

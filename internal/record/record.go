@@ -99,6 +99,7 @@ package record
 import (
 	"math/bits"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -307,6 +308,19 @@ func (e *Engine) AddSink(s Sink) {
 	e.Flush()
 	e.mu.Lock()
 	e.sinks = append(e.sinks, s)
+	e.mu.Unlock()
+}
+
+// RemoveSink detaches a sink attached by NewEngine or AddSink. Accesses
+// already buffered are flushed first, so the sink observes every batch
+// recorded before RemoveSink returns and none after. Removing a sink
+// that is not attached is a no-op.
+func (e *Engine) RemoveSink(s Sink) {
+	e.Flush()
+	e.mu.Lock()
+	if i := slices.Index(e.sinks, s); i >= 0 {
+		e.sinks = slices.Concat(e.sinks[:i], e.sinks[i+1:])
+	}
 	e.mu.Unlock()
 }
 

@@ -37,7 +37,7 @@ func FuzzDriverInvariants(f *testing.F) {
 			kind := memsim.AccessKind(op >> 2 & 3 % 3)
 			switch op & 3 {
 			case 0, 1:
-				d.Access(dev, a, a.Base+memsim.Addr(pageIdx*4096+int64(op&3)*8), 8, kind)
+				access(d, dev, a, a.Base+memsim.Addr(pageIdx*4096+int64(op&3)*8), 8, kind)
 			case 2:
 				adv := Advice(op >> 2 % 6)
 				_ = d.Advise(a, adv, dev)

@@ -538,11 +538,27 @@ func (d *Driver) AllocStats(a *memsim.Alloc) Stats { return d.metaOf(a).stats }
 // GPUMemoryUsed reports the bytes of GPU memory currently occupied.
 func (d *Driver) GPUMemoryUsed() int64 { return d.gpuUsed }
 
-// Access charges one element access of the given size (bytes) by dev and
-// updates page state. It returns the cost split described on Cost.
-func (d *Driver) Access(dev machine.Device, a *memsim.Alloc, addr memsim.Addr, size int64, kind memsim.AccessKind) Cost {
+// Access charges element accesses by dev to page pi of the allocation and
+// walks that page's state machine: first touch, migration, read
+// duplication, direct mappings, remote access and access-counter
+// migration. readWords and writeWords are the cost-words (4-byte units)
+// the accesses read and write, a read-modify-write counting as a write,
+// spread over `accesses` element accesses. It returns the cost split
+// described on Cost.
+//
+// A live element access (cuda.Exec) is one call with accesses == 1. The
+// what-if replay (internal/whatif) passes one span's per-page totals in
+// one call: within a span the first access to a page prices exactly like
+// the steady state it establishes (first touch then local, migrate then
+// local, map then remote), so the span total equals the per-access sum.
+// Two replay approximations remain: a counter migration that splits a
+// span assumes uniform words per access, and under ReadMostly a span's
+// reads are priced before its writes. A zero-word access still runs the
+// transitions, except on a read-mostly page, where the word counts
+// decide between duplication and invalidation.
+func (d *Driver) Access(dev machine.Device, a *memsim.Alloc, pi int32, readWords, writeWords, accesses int64) Cost {
 	m := d.metaOf(a)
-	words := (size + 3) / 4
+	words := readWords + writeWords
 	local := d.plat.AccessTime(dev) * machine.Duration(words)
 
 	switch a.Kind {
@@ -559,9 +575,7 @@ func (d *Driver) Access(dev machine.Device, a *memsim.Alloc, addr memsim.Addr, s
 	}
 
 	// Managed memory: page state machine.
-	pi := int32(int64(addr-a.Base) >> d.pageShift)
 	pg := &m.pages[pi]
-	isWrite := kind != memsim.Read
 	readMostly, preferred, accessedBy := m.advice(pi)
 
 	var c Cost
@@ -592,38 +606,24 @@ func (d *Driver) Access(dev machine.Device, a *memsim.Alloc, addr memsim.Addr, s
 	}
 
 	if readMostly {
-		return d.accessReadMostly(m, pg, pi, dev, isWrite, local, words)
+		return d.chargeReadMostly(m, pg, pi, dev, readWords, writeWords)
 	}
 
 	if pg.owner == dev {
 		return Cost{Local: local}
 	}
 
-	// Peer access to a page owned by the other device.
-	if accessedBy&devBit(dev) != 0 || pg.mapMask&devBit(dev) != 0 {
-		c.Remote += d.plat.RemoteAccess * machine.Duration(words)
-		d.noteRemote(m, dev, words)
-		if d.plat.HardwareCoherent && preferred < 0 {
-			d.counterMigrate(m, pg, pi, dev, &c)
-		}
+	// Peer access: mapped, accessed-by, or hardware-coherent remote.
+	if accessedBy&devBit(dev) != 0 || pg.mapMask&devBit(dev) != 0 || d.plat.HardwareCoherent {
+		d.chargeRemote(m, pg, pi, dev, words, accesses, preferred, &c)
 		return c
 	}
 
-	if d.plat.HardwareCoherent {
-		// ATS: remote access without a fault; counters may migrate the page.
-		c.Remote += d.plat.RemoteAccess * machine.Duration(words)
-		d.noteRemote(m, dev, words)
-		if preferred < 0 {
-			d.counterMigrate(m, pg, pi, dev, &c)
-		}
-		return c
-	}
-
-	// Fault path (PCIe platforms).
+	// Fault path (PCIe platforms): one fault, then either a direct
+	// mapping (data already at its preferred location, §II-B) or a
+	// migration followed by local access.
 	d.fault(m, dev, &c)
 	if preferred >= 0 && machine.Device(preferred) == pg.owner {
-		// Data already at its preferred location: establish a direct
-		// mapping instead of migrating (§II-B).
 		pg.mapMask |= devBit(dev)
 		d.stats.Mappings++
 		m.stats.Mappings++
@@ -636,45 +636,71 @@ func (d *Driver) Access(dev machine.Device, a *memsim.Alloc, addr memsim.Addr, s
 	return c
 }
 
-// accessReadMostly handles accesses to read-duplicated allocations.
-func (d *Driver) accessReadMostly(m *allocMeta, pg *page, pi int32, dev machine.Device, isWrite bool, local machine.Duration, words int64) Cost {
+// chargeRemote prices remote accesses against a peer-owned page. On a
+// hardware-coherent platform without a preferred location, each remote
+// access bumps dev's access counter on the page; the access that brings
+// it to the platform's threshold (the first one when the threshold is 0
+// or less) is still served remotely, then the page migrates and the rest
+// run local.
+func (d *Driver) chargeRemote(m *allocMeta, pg *page, pi int32, dev machine.Device, words, accesses int64, preferred int8, c *Cost) {
+	if d.plat.HardwareCoherent && preferred < 0 {
+		remaining := max(int64(d.plat.CounterMigrationThreshold)-int64(pg.remote[dev]), 1)
+		if accesses >= remaining {
+			remoteWords := words * remaining / accesses
+			c.Remote += d.plat.RemoteAccess * machine.Duration(remoteWords)
+			d.noteRemote(m, dev, remoteWords)
+			d.stats.CounterMigrations++
+			m.stats.CounterMigrations++
+			d.migrate(m, pg, pi, dev, c)
+			c.Local += d.plat.AccessTime(dev) * machine.Duration(words-remoteWords)
+			return
+		}
+		pg.remote[dev] += int32(accesses)
+	}
+	c.Remote += d.plat.RemoteAccess * machine.Duration(words)
+	d.noteRemote(m, dev, words)
+}
+
+// chargeReadMostly prices reads, then writes, against a read-duplicated
+// page. A read off the page's holders creates a read-only duplicate on
+// dev; a write collapses every duplicate and moves the page to the writer
+// (§II-B SetReadMostly).
+func (d *Driver) chargeReadMostly(m *allocMeta, pg *page, pi int32, dev machine.Device, readWords, writeWords int64) Cost {
 	var c Cost
-	if !isWrite {
-		if pg.owner == dev || pg.copyMask&devBit(dev) != 0 {
-			return Cost{Local: local}
+	if readWords > 0 {
+		if pg.owner != dev && pg.copyMask&devBit(dev) == 0 {
+			d.fault(m, dev, &c)
+			c.MigratedBytes += d.plat.PageSize
+			pg.copyMask |= devBit(dev)
+			d.stats.Duplications++
+			m.stats.Duplications++
+			if dev == machine.GPU {
+				// The duplicate occupies GPU memory and must be evictable
+				// like any other resident page.
+				d.ensureGPURoom(m, pi, &c)
+				d.gpuUsed += d.plat.PageSize
+				d.enqueue(m, pi)
+			}
+			d.noteBytes(dev, d.plat.PageSize)
 		}
-		// Create a read-only duplicate on dev.
-		d.fault(m, dev, &c)
-		c.MigratedBytes += d.plat.PageSize
-		pg.copyMask |= devBit(dev)
-		d.stats.Duplications++
-		m.stats.Duplications++
-		if dev == machine.GPU {
-			// The duplicate occupies GPU memory and must be evictable
-			// like any other resident page.
-			d.ensureGPURoom(m, pi, &c)
-			d.gpuUsed += d.plat.PageSize
-			d.enqueue(m, pi)
+		c.Local += d.plat.AccessTime(dev) * machine.Duration(readWords)
+	}
+	if writeWords > 0 {
+		if pg.copyMask != 0 {
+			if pg.copyMask&devBit(machine.GPU) != 0 && pg.owner != machine.GPU {
+				d.gpuUsed -= d.plat.PageSize
+			}
+			pg.copyMask = 0
+			c.Serial += d.plat.ReadMostlyInvalidate
+			d.stats.Invalidations++
+			m.stats.Invalidations++
 		}
-		d.noteBytes(dev, d.plat.PageSize)
-		c.Local += local
-		return c
-	}
-	// Write: only the written-to copy stays valid (§II-B SetReadMostly).
-	if pg.copyMask != 0 {
-		if pg.copyMask&devBit(machine.GPU) != 0 && pg.owner != machine.GPU {
-			d.gpuUsed -= d.plat.PageSize
+		if pg.owner != dev {
+			d.fault(m, dev, &c)
+			d.migrate(m, pg, pi, dev, &c)
 		}
-		pg.copyMask = 0
-		c.Serial += d.plat.ReadMostlyInvalidate
-		d.stats.Invalidations++
-		m.stats.Invalidations++
+		c.Local += d.plat.AccessTime(dev) * machine.Duration(writeWords)
 	}
-	if pg.owner != dev {
-		d.fault(m, dev, &c)
-		d.migrate(m, pg, pi, dev, &c)
-	}
-	c.Local += local
 	return c
 }
 
@@ -717,18 +743,6 @@ func (d *Driver) migrate(m *allocMeta, pg *page, pi int32, dev machine.Device, c
 	pg.owner = dev
 	pg.mapMask = 0 // peers must re-establish mappings
 	pg.remote = [machine.NumDevices]int32{}
-}
-
-// counterMigrate bumps dev's remote-access counter on the page and migrates
-// it once the platform threshold is crossed.
-func (d *Driver) counterMigrate(m *allocMeta, pg *page, pi int32, dev machine.Device, c *Cost) {
-	pg.remote[dev]++
-	if int(pg.remote[dev]) < d.plat.CounterMigrationThreshold {
-		return
-	}
-	d.stats.CounterMigrations++
-	m.stats.CounterMigrations++
-	d.migrate(m, pg, pi, dev, c)
 }
 
 // noteRemote records words served from peer memory.
@@ -939,173 +953,4 @@ func (d *Driver) Prefetch(a *memsim.Alloc, dev machine.Device) machine.Duration 
 		})
 	}
 	return dur
-}
-
-// AccessAggregate charges one span's worth of element accesses to a single
-// page in bulk: readWords/writeWords cost-words (4-byte units) spread over
-// `accesses` element accesses, all by dev. It walks the same page state
-// machine as Access and performs the same transitions, relying on the fact
-// that within one emission span the first access to a page prices exactly
-// like the steady state it establishes (first-touch then local, migrate
-// then local, map then remote), so per-page span totals reproduce the
-// per-access sum. The aggregate-only approximations — uniform words per
-// access when a counter migration splits a span, and reads-before-writes
-// ordering under ReadMostly — are documented replay caveats. The what-if
-// replay engine (internal/whatif) is the only caller.
-func (d *Driver) AccessAggregate(dev machine.Device, a *memsim.Alloc, pi int32, readWords, writeWords, accesses int64) Cost {
-	m := d.metaOf(a)
-	words := readWords + writeWords
-	if words == 0 {
-		return Cost{}
-	}
-	local := d.plat.AccessTime(dev) * machine.Duration(words)
-
-	switch a.Kind {
-	case memsim.HostOnly:
-		if dev != machine.CPU {
-			panic(fmt.Sprintf("um: GPU access to host-only allocation %s", a))
-		}
-		return Cost{Local: local}
-	case memsim.DeviceOnly:
-		if dev != machine.GPU {
-			panic(fmt.Sprintf("um: CPU access to device-only allocation %s (use Memcpy)", a))
-		}
-		return Cost{Local: local}
-	}
-
-	pg := &m.pages[pi]
-	readMostly, preferred, accessedBy := m.advice(pi)
-
-	var c Cost
-	if !pg.touched {
-		// First touch: identical transition to Access, priced for the
-		// whole span at the steady state it establishes.
-		pg.touched = true
-		pg.owner = dev
-		if preferred >= 0 {
-			pg.owner = machine.Device(preferred)
-		}
-		if dev == machine.GPU {
-			d.fault(m, dev, &c)
-		}
-		if pg.owner == machine.GPU {
-			d.ensureGPURoom(m, pi, &c)
-			d.gpuUsed += d.plat.PageSize
-			d.enqueue(m, pi)
-		}
-		if pg.owner != dev {
-			pg.mapMask |= devBit(dev)
-			c.Remote += d.plat.RemoteAccess * machine.Duration(words)
-			d.noteRemote(m, dev, words)
-			return c
-		}
-		c.Local += local
-		return c
-	}
-
-	if readMostly {
-		return d.aggregateReadMostly(m, pg, pi, dev, readWords, writeWords)
-	}
-
-	if pg.owner == dev {
-		return Cost{Local: local}
-	}
-
-	// Peer access: mapped, accessed-by, or hardware-coherent remote.
-	if accessedBy&devBit(dev) != 0 || pg.mapMask&devBit(dev) != 0 || d.plat.HardwareCoherent {
-		d.aggregateRemote(m, pg, pi, dev, words, accesses, preferred, &c)
-		return c
-	}
-
-	// Fault path (PCIe platforms): one fault for the span, then either a
-	// direct mapping (data already at its preferred location) or a
-	// migration followed by local access.
-	d.fault(m, dev, &c)
-	if preferred >= 0 && machine.Device(preferred) == pg.owner {
-		pg.mapMask |= devBit(dev)
-		d.stats.Mappings++
-		m.stats.Mappings++
-		c.Remote += d.plat.RemoteAccess * machine.Duration(words)
-		d.noteRemote(m, dev, words)
-		return c
-	}
-	d.migrate(m, pg, pi, dev, &c)
-	c.Local += local
-	return c
-}
-
-// aggregateRemote prices a span of remote accesses against a peer-owned
-// page, splitting the span at the access where the platform's migration
-// counter crosses its threshold (that access is still charged remote, as
-// in counterMigrate; the remainder run local after the migration).
-// Assumes uniform words per access within the span.
-func (d *Driver) aggregateRemote(m *allocMeta, pg *page, pi int32, dev machine.Device, words, accesses int64, preferred int8, c *Cost) {
-	if d.plat.HardwareCoherent && preferred < 0 && d.plat.CounterMigrationThreshold > 0 {
-		remaining := int64(d.plat.CounterMigrationThreshold) - int64(pg.remote[dev])
-		if remaining < 0 {
-			remaining = 0
-		}
-		if accesses >= remaining {
-			remoteWords := words
-			if accesses > 0 {
-				remoteWords = words * remaining / accesses
-			}
-			c.Remote += d.plat.RemoteAccess * machine.Duration(remoteWords)
-			d.noteRemote(m, dev, remoteWords)
-			d.stats.CounterMigrations++
-			m.stats.CounterMigrations++
-			d.migrate(m, pg, pi, dev, c)
-			c.Local += d.plat.AccessTime(dev) * machine.Duration(words-remoteWords)
-			return
-		}
-		pg.remote[dev] += int32(accesses)
-	}
-	c.Remote += d.plat.RemoteAccess * machine.Duration(words)
-	d.noteRemote(m, dev, words)
-}
-
-// aggregateReadMostly prices a span's reads, then its writes, against a
-// read-duplicated page — the aggregate form of accessReadMostly. Live runs
-// may interleave reads and writes within a span; the aggregate assumes
-// reads come first (kernels read inputs before writing outputs), a
-// documented replay caveat.
-func (d *Driver) aggregateReadMostly(m *allocMeta, pg *page, pi int32, dev machine.Device, readWords, writeWords int64) Cost {
-	var c Cost
-	if readWords > 0 {
-		local := d.plat.AccessTime(dev) * machine.Duration(readWords)
-		if pg.owner == dev || pg.copyMask&devBit(dev) != 0 {
-			c.Local += local
-		} else {
-			d.fault(m, dev, &c)
-			c.MigratedBytes += d.plat.PageSize
-			pg.copyMask |= devBit(dev)
-			d.stats.Duplications++
-			m.stats.Duplications++
-			if dev == machine.GPU {
-				d.ensureGPURoom(m, pi, &c)
-				d.gpuUsed += d.plat.PageSize
-				d.enqueue(m, pi)
-			}
-			d.noteBytes(dev, d.plat.PageSize)
-			c.Local += local
-		}
-	}
-	if writeWords > 0 {
-		local := d.plat.AccessTime(dev) * machine.Duration(writeWords)
-		if pg.copyMask != 0 {
-			if pg.copyMask&devBit(machine.GPU) != 0 && pg.owner != machine.GPU {
-				d.gpuUsed -= d.plat.PageSize
-			}
-			pg.copyMask = 0
-			c.Serial += d.plat.ReadMostlyInvalidate
-			d.stats.Invalidations++
-			m.stats.Invalidations++
-		}
-		if pg.owner != dev {
-			d.fault(m, dev, &c)
-			d.migrate(m, pg, pi, dev, &c)
-		}
-		c.Local += local
-	}
-	return c
 }

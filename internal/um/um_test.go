@@ -42,6 +42,18 @@ func managed(t *testing.T, d *Driver, sp *memsim.Space, size int64, label string
 	return a
 }
 
+// access charges one element access of size bytes at addr the way
+// cuda.Exec does: one call to Driver.Access, read words for a read and
+// write words for a write or read-modify-write.
+func access(d *Driver, dev machine.Device, a *memsim.Alloc, addr memsim.Addr, size int64, kind memsim.AccessKind) Cost {
+	pi := int32(int64(addr-a.Base) >> d.pageShift)
+	words := (size + 3) / 4
+	if kind == memsim.Read {
+		return d.Access(dev, a, pi, words, 0, 1)
+	}
+	return d.Access(dev, a, pi, 0, words, 1)
+}
+
 func TestNewDriverRejectsMismatchedPageSize(t *testing.T) {
 	plat := testPlatform()
 	sp := memsim.NewSpace(8192)
@@ -56,7 +68,7 @@ func TestNewDriverRejectsMismatchedPageSize(t *testing.T) {
 func TestFirstTouchByCPUIsCheap(t *testing.T) {
 	d, sp := newDriver(t, testPlatform())
 	a := managed(t, d, sp, 4096, "a")
-	c := d.Access(machine.CPU, a, a.Base, 8, memsim.Write)
+	c := access(d, machine.CPU, a, a.Base, 8, memsim.Write)
 	if c.Serial != 0 {
 		t.Errorf("CPU first touch serial cost %v, want 0", c.Serial)
 	}
@@ -71,9 +83,26 @@ func TestFirstTouchByCPUIsCheap(t *testing.T) {
 func TestFirstTouchByGPUFaults(t *testing.T) {
 	d, sp := newDriver(t, testPlatform())
 	a := managed(t, d, sp, 4096, "a")
-	c := d.Access(machine.GPU, a, a.Base, 8, memsim.Read)
+	c := access(d, machine.GPU, a, a.Base, 8, memsim.Read)
 	if c.Faults != 1 {
 		t.Errorf("GPU first touch faults = %d, want 1", c.Faults)
+	}
+	if s := d.Stats(); s.FaultsGPU != 1 {
+		t.Errorf("FaultsGPU = %d, want 1", s.FaultsGPU)
+	}
+	if d.GPUMemoryUsed() != 4096 {
+		t.Errorf("GPU residency %d, want one page", d.GPUMemoryUsed())
+	}
+}
+
+// A zero-size access still walks the page transitions: a GPU first touch
+// faults and populates the page even though it charges no words.
+func TestZeroSizeFirstTouchByGPUFaults(t *testing.T) {
+	d, sp := newDriver(t, testPlatform())
+	a := managed(t, d, sp, 4096, "a")
+	c := access(d, machine.GPU, a, a.Base, 0, memsim.Read)
+	if c.Faults != 1 || c.Local != 0 || c.Remote != 0 {
+		t.Errorf("zero-size GPU first touch cost %+v, want one fault and no access time", c)
 	}
 	if s := d.Stats(); s.FaultsGPU != 1 {
 		t.Errorf("FaultsGPU = %d, want 1", s.FaultsGPU)
@@ -88,19 +117,19 @@ func TestPingPongMigration(t *testing.T) {
 	d, sp := newDriver(t, plat)
 	a := managed(t, d, sp, 4096, "a")
 
-	d.Access(machine.CPU, a, a.Base, 8, memsim.Write) // first touch: CPU owns
-	c1 := d.Access(machine.GPU, a, a.Base, 8, memsim.Read)
+	access(d, machine.CPU, a, a.Base, 8, memsim.Write) // first touch: CPU owns
+	c1 := access(d, machine.GPU, a, a.Base, 8, memsim.Read)
 	if c1.Faults != 1 || c1.MigratedBytes != plat.PageSize {
 		t.Errorf("GPU access to CPU page: %+v, want 1 fault + one page migrated", c1)
 	}
 	if c1.HostTime(plat) < plat.MigrationTime() {
 		t.Errorf("host-folded cost %v, want >= migration %v", c1.HostTime(plat), plat.MigrationTime())
 	}
-	c2 := d.Access(machine.GPU, a, a.Base+8, 8, memsim.Read)
+	c2 := access(d, machine.GPU, a, a.Base+8, 8, memsim.Read)
 	if c2.Faults != 0 || c2.MigratedBytes != 0 {
 		t.Errorf("second GPU access should be local: %+v", c2)
 	}
-	c3 := d.Access(machine.CPU, a, a.Base, 8, memsim.Write)
+	c3 := access(d, machine.CPU, a, a.Base, 8, memsim.Write)
 	if c3.Faults != 1 || c3.MigratedBytes != plat.PageSize {
 		t.Errorf("CPU re-access should migrate back: %+v", c3)
 	}
@@ -121,9 +150,9 @@ func TestReadMostlyDuplicatesAndInvalidates(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	d.Access(machine.CPU, a, a.Base, 8, memsim.Write) // CPU owns
+	access(d, machine.CPU, a, a.Base, 8, memsim.Write) // CPU owns
 	// GPU read: creates a duplicate, CPU stays owner.
-	c := d.Access(machine.GPU, a, a.Base, 8, memsim.Read)
+	c := access(d, machine.GPU, a, a.Base, 8, memsim.Read)
 	if c.Faults != 1 || c.MigratedBytes != plat.PageSize {
 		t.Errorf("duplicate creation should fault and copy a page: %+v", c)
 	}
@@ -131,14 +160,14 @@ func TestReadMostlyDuplicatesAndInvalidates(t *testing.T) {
 		t.Errorf("Duplications = %d, want 1", d.Stats().Duplications)
 	}
 	// Further reads from both sides are local.
-	if c := d.Access(machine.GPU, a, a.Base+16, 8, memsim.Read); c.Faults != 0 || c.MigratedBytes != 0 {
+	if c := access(d, machine.GPU, a, a.Base+16, 8, memsim.Read); c.Faults != 0 || c.MigratedBytes != 0 {
 		t.Errorf("GPU read with duplicate: %+v", c)
 	}
-	if c := d.Access(machine.CPU, a, a.Base+16, 8, memsim.Read); c.Faults != 0 {
+	if c := access(d, machine.CPU, a, a.Base+16, 8, memsim.Read); c.Faults != 0 {
 		t.Errorf("CPU (owner) read: %+v", c)
 	}
 	// CPU write invalidates the GPU copy.
-	c = d.Access(machine.CPU, a, a.Base, 8, memsim.Write)
+	c = access(d, machine.CPU, a, a.Base, 8, memsim.Write)
 	if c.Serial < plat.ReadMostlyInvalidate {
 		t.Errorf("invalidating write serial %v, want >= %v", c.Serial, plat.ReadMostlyInvalidate)
 	}
@@ -149,7 +178,7 @@ func TestReadMostlyDuplicatesAndInvalidates(t *testing.T) {
 		t.Errorf("invalidated duplicate still occupies GPU memory: %d", d.GPUMemoryUsed())
 	}
 	// GPU must re-duplicate after the invalidation.
-	c = d.Access(machine.GPU, a, a.Base, 8, memsim.Read)
+	c = access(d, machine.GPU, a, a.Base, 8, memsim.Read)
 	if c.Faults != 1 || c.MigratedBytes != plat.PageSize {
 		t.Errorf("GPU read after invalidation should re-create the duplicate: %+v", c)
 	}
@@ -162,14 +191,14 @@ func TestReadMostlyWriteByNonOwnerMigrates(t *testing.T) {
 	d, sp := newDriver(t, testPlatform())
 	a := managed(t, d, sp, 4096, "a")
 	_ = d.Advise(a, AdviseSetReadMostly, machine.CPU)
-	d.Access(machine.CPU, a, a.Base, 8, memsim.Write)
-	d.Access(machine.GPU, a, a.Base, 8, memsim.Read) // duplicate
-	c := d.Access(machine.GPU, a, a.Base, 8, memsim.Write)
+	access(d, machine.CPU, a, a.Base, 8, memsim.Write)
+	access(d, machine.GPU, a, a.Base, 8, memsim.Read) // duplicate
+	c := access(d, machine.GPU, a, a.Base, 8, memsim.Write)
 	if c.Serial == 0 || c.Faults == 0 || c.MigratedBytes == 0 {
 		t.Errorf("GPU write under ReadMostly should invalidate and migrate: %+v", c)
 	}
 	// Now the GPU owns the page exclusively.
-	if c := d.Access(machine.GPU, a, a.Base, 8, memsim.Write); c != (Cost{Local: c.Local}) {
+	if c := access(d, machine.GPU, a, a.Base, 8, memsim.Write); c != (Cost{Local: c.Local}) {
 		t.Errorf("GPU re-write should be purely local: %+v", c)
 	}
 }
@@ -178,8 +207,8 @@ func TestUnsetReadMostlyDropsDuplicates(t *testing.T) {
 	d, sp := newDriver(t, testPlatform())
 	a := managed(t, d, sp, 4096, "a")
 	_ = d.Advise(a, AdviseSetReadMostly, machine.CPU)
-	d.Access(machine.CPU, a, a.Base, 8, memsim.Write)
-	d.Access(machine.GPU, a, a.Base, 8, memsim.Read)
+	access(d, machine.CPU, a, a.Base, 8, memsim.Write)
+	access(d, machine.GPU, a, a.Base, 8, memsim.Read)
 	if d.GPUMemoryUsed() != 4096 {
 		t.Fatal("duplicate not resident")
 	}
@@ -195,9 +224,9 @@ func TestPreferredLocationMapsInsteadOfMigrating(t *testing.T) {
 	a := managed(t, d, sp, 4096, "a")
 	_ = d.Advise(a, AdviseSetPreferredLocation, machine.CPU)
 
-	d.Access(machine.CPU, a, a.Base, 8, memsim.Write)
+	access(d, machine.CPU, a, a.Base, 8, memsim.Write)
 	// GPU access faults once, then maps and stays remote.
-	c := d.Access(machine.GPU, a, a.Base, 8, memsim.Read)
+	c := access(d, machine.GPU, a, a.Base, 8, memsim.Read)
 	if c.Remote == 0 {
 		t.Error("GPU access to preferred-CPU page should be remote")
 	}
@@ -209,7 +238,7 @@ func TestPreferredLocationMapsInsteadOfMigrating(t *testing.T) {
 	}
 	// Second GPU access: mapping established, no more faults.
 	f := d.Stats().Faults()
-	c = d.Access(machine.GPU, a, a.Base+8, 8, memsim.Read)
+	c = access(d, machine.GPU, a, a.Base+8, 8, memsim.Read)
 	if d.Stats().Faults() != f {
 		t.Error("mapped access faulted again")
 	}
@@ -222,8 +251,8 @@ func TestAccessedByAvoidsFaults(t *testing.T) {
 	d, sp := newDriver(t, testPlatform())
 	a := managed(t, d, sp, 4096, "a")
 	_ = d.Advise(a, AdviseSetAccessedBy, machine.GPU)
-	d.Access(machine.CPU, a, a.Base, 8, memsim.Write)
-	c := d.Access(machine.GPU, a, a.Base, 8, memsim.Read)
+	access(d, machine.CPU, a, a.Base, 8, memsim.Write)
+	c := access(d, machine.GPU, a, a.Base, 8, memsim.Read)
 	if d.Stats().Faults() != 0 {
 		t.Errorf("AccessedBy GPU still faulted: %+v", d.Stats())
 	}
@@ -235,7 +264,7 @@ func TestAccessedByAvoidsFaults(t *testing.T) {
 	}
 	// Unset restores the fault path.
 	_ = d.Advise(a, AdviseUnsetAccessedBy, machine.GPU)
-	d.Access(machine.GPU, a, a.Base, 8, memsim.Read)
+	access(d, machine.GPU, a, a.Base, 8, memsim.Read)
 	if d.Stats().Faults() == 0 {
 		t.Error("after UnsetAccessedBy the GPU should fault")
 	}
@@ -257,7 +286,7 @@ func TestOversubscriptionEvicts(t *testing.T) {
 
 	// GPU touches 6 pages; only 4 fit.
 	for p := int64(0); p < 6; p++ {
-		d.Access(machine.GPU, a, a.Base+memsim.Addr(p*4096), 8, memsim.Write)
+		access(d, machine.GPU, a, a.Base+memsim.Addr(p*4096), 8, memsim.Write)
 	}
 	if d.GPUMemoryUsed() > plat.GPUMemory {
 		t.Errorf("GPU over capacity: %d > %d", d.GPUMemoryUsed(), plat.GPUMemory)
@@ -272,7 +301,7 @@ func TestOversubscriptionEvicts(t *testing.T) {
 	}
 	// Re-touching an evicted page thrashes (faults again).
 	f := s.FaultsGPU
-	d.Access(machine.GPU, a, a.Base, 8, memsim.Read)
+	access(d, machine.GPU, a, a.Base, 8, memsim.Read)
 	if d.Stats().FaultsGPU != f+1 {
 		t.Error("re-access of evicted page did not fault")
 	}
@@ -295,7 +324,7 @@ func TestDeviceOnlyAccessRules(t *testing.T) {
 	d, sp := newDriver(t, testPlatform())
 	a, _ := sp.Alloc(4096, memsim.DeviceOnly, "d")
 	d.Register(a)
-	if c := d.Access(machine.GPU, a, a.Base, 4, memsim.Read); c.Faults != 0 || c.Local <= 0 {
+	if c := access(d, machine.GPU, a, a.Base, 4, memsim.Read); c.Faults != 0 || c.Local <= 0 {
 		t.Errorf("GPU access to device memory: %+v", c)
 	}
 	defer func() {
@@ -303,14 +332,14 @@ func TestDeviceOnlyAccessRules(t *testing.T) {
 			t.Error("CPU access to device-only memory did not panic")
 		}
 	}()
-	d.Access(machine.CPU, a, a.Base, 4, memsim.Read)
+	access(d, machine.CPU, a, a.Base, 4, memsim.Read)
 }
 
 func TestHostOnlyAccessRules(t *testing.T) {
 	d, sp := newDriver(t, testPlatform())
 	a, _ := sp.Alloc(4096, memsim.HostOnly, "h")
 	d.Register(a)
-	if c := d.Access(machine.CPU, a, a.Base, 4, memsim.Write); c.Local <= 0 {
+	if c := access(d, machine.CPU, a, a.Base, 4, memsim.Write); c.Local <= 0 {
 		t.Errorf("CPU access to host memory: %+v", c)
 	}
 	defer func() {
@@ -318,15 +347,15 @@ func TestHostOnlyAccessRules(t *testing.T) {
 			t.Error("GPU access to host-only memory did not panic")
 		}
 	}()
-	d.Access(machine.GPU, a, a.Base, 4, memsim.Read)
+	access(d, machine.GPU, a, a.Base, 4, memsim.Read)
 }
 
 func TestCoherentPlatformDoesNotFault(t *testing.T) {
 	plat := coherentPlatform()
 	d, sp := newDriver(t, plat)
 	a := managed(t, d, sp, 4096, "a")
-	d.Access(machine.CPU, a, a.Base, 8, memsim.Write)
-	c := d.Access(machine.GPU, a, a.Base, 8, memsim.Read)
+	access(d, machine.CPU, a, a.Base, 8, memsim.Write)
+	c := access(d, machine.GPU, a, a.Base, 8, memsim.Read)
 	if d.Stats().Faults() != 0 {
 		t.Errorf("coherent platform faulted: %+v", d.Stats())
 	}
@@ -336,19 +365,52 @@ func TestCoherentPlatformDoesNotFault(t *testing.T) {
 }
 
 func TestCounterMigration(t *testing.T) {
-	plat := coherentPlatform() // threshold 4
-	d, sp := newDriver(t, plat)
-	a := managed(t, d, sp, 4096, "a")
-	d.Access(machine.CPU, a, a.Base, 8, memsim.Write)
-	for i := 0; i < 4; i++ {
-		d.Access(machine.GPU, a, a.Base+memsim.Addr(8*i), 8, memsim.Read)
+	// A threshold of 0 or less migrates at the first remote access.
+	for _, threshold := range []int{4, 0, -1} {
+		plat := coherentPlatform()
+		plat.CounterMigrationThreshold = threshold
+		d, sp := newDriver(t, plat)
+		a := managed(t, d, sp, 4096, "a")
+		access(d, machine.CPU, a, a.Base, 8, memsim.Write)
+		for i := 0; i < max(threshold, 1); i++ {
+			access(d, machine.GPU, a, a.Base+memsim.Addr(8*i), 8, memsim.Read)
+		}
+		if d.Stats().CounterMigrations != 1 {
+			t.Errorf("threshold %d: CounterMigrations = %d, want 1 after threshold", threshold, d.Stats().CounterMigrations)
+		}
+		// Page is now GPU-local.
+		if c := access(d, machine.GPU, a, a.Base, 8, memsim.Read); c.Remote != 0 || c.Faults != 0 {
+			t.Errorf("threshold %d: post-migration GPU access: %+v", threshold, c)
+		}
 	}
-	if d.Stats().CounterMigrations != 1 {
-		t.Errorf("CounterMigrations = %d, want 1 after threshold", d.Stats().CounterMigrations)
-	}
-	// Page is now GPU-local.
-	if c := d.Access(machine.GPU, a, a.Base, 8, memsim.Read); c.Remote != 0 || c.Faults != 0 {
-		t.Errorf("post-migration GPU access: %+v", c)
+}
+
+// One call for a span of remote accesses charges what the same accesses
+// charge one call each, wherever the counter migration falls in the span.
+func TestSpanEqualsPerAccessSum(t *testing.T) {
+	for _, threshold := range []int{0, 1, 3, 4, 9} {
+		for _, n := range []int64{1, 3, 4, 6} {
+			plat := coherentPlatform()
+			plat.CounterMigrationThreshold = threshold
+			span, spSpan := newDriver(t, plat)
+			each, spEach := newDriver(t, plat)
+			as := managed(t, span, spSpan, 4096, "a")
+			ae := managed(t, each, spEach, 4096, "a")
+			access(span, machine.CPU, as, as.Base, 8, memsim.Write)
+			access(each, machine.CPU, ae, ae.Base, 8, memsim.Write)
+
+			got := span.Access(machine.GPU, as, 0, 2*n, 0, n)
+			var want Cost
+			for i := int64(0); i < n; i++ {
+				want.Add(access(each, machine.GPU, ae, ae.Base+memsim.Addr(8*i), 8, memsim.Read))
+			}
+			if got != want {
+				t.Errorf("threshold %d, %d accesses: span cost %+v, per-access sum %+v", threshold, n, got, want)
+			}
+			if span.Stats() != each.Stats() {
+				t.Errorf("threshold %d, %d accesses: span stats %+v, per-access %+v", threshold, n, span.Stats(), each.Stats())
+			}
+		}
 	}
 }
 
@@ -377,7 +439,7 @@ func TestPrefetchMovesAllPages(t *testing.T) {
 	a := managed(t, d, sp, 3*4096, "a")
 	// CPU touches all pages first.
 	for p := int64(0); p < 3; p++ {
-		d.Access(machine.CPU, a, a.Base+memsim.Addr(p*4096), 8, memsim.Write)
+		access(d, machine.CPU, a, a.Base+memsim.Addr(p*4096), 8, memsim.Write)
 	}
 	cost := d.Prefetch(a, machine.GPU)
 	if cost <= 0 {
@@ -388,7 +450,7 @@ func TestPrefetchMovesAllPages(t *testing.T) {
 	}
 	// GPU accesses are now local and fault-free.
 	f := d.Stats().Faults()
-	if c := d.Access(machine.GPU, a, a.Base, 8, memsim.Read); c.Faults != 0 || d.Stats().Faults() != f {
+	if c := access(d, machine.GPU, a, a.Base, 8, memsim.Read); c.Faults != 0 || d.Stats().Faults() != f {
 		t.Error("post-prefetch GPU access not local")
 	}
 }
@@ -397,8 +459,8 @@ func TestAllocStatsAreSeparate(t *testing.T) {
 	d, sp := newDriver(t, testPlatform())
 	a := managed(t, d, sp, 4096, "a")
 	b := managed(t, d, sp, 4096, "b")
-	d.Access(machine.CPU, a, a.Base, 8, memsim.Write)
-	d.Access(machine.GPU, a, a.Base, 8, memsim.Read) // migrate
+	access(d, machine.CPU, a, a.Base, 8, memsim.Write)
+	access(d, machine.GPU, a, a.Base, 8, memsim.Read) // migrate
 	if d.AllocStats(a).MigrationsH2D != 1 {
 		t.Errorf("a stats: %+v", d.AllocStats(a))
 	}
@@ -410,9 +472,9 @@ func TestAllocStatsAreSeparate(t *testing.T) {
 func TestStatsSub(t *testing.T) {
 	d, sp := newDriver(t, testPlatform())
 	a := managed(t, d, sp, 4096, "a")
-	d.Access(machine.CPU, a, a.Base, 8, memsim.Write)
+	access(d, machine.CPU, a, a.Base, 8, memsim.Write)
 	snap := d.Stats()
-	d.Access(machine.GPU, a, a.Base, 8, memsim.Read)
+	access(d, machine.GPU, a, a.Base, 8, memsim.Read)
 	delta := d.Stats().Sub(snap)
 	if delta.FaultsGPU != 1 || delta.MigrationsH2D != 1 {
 		t.Errorf("delta = %+v", delta)
@@ -425,8 +487,8 @@ func TestStatsSub(t *testing.T) {
 func TestUnregisterReleasesManagedResidency(t *testing.T) {
 	d, sp := newDriver(t, testPlatform())
 	a := managed(t, d, sp, 2*4096, "a")
-	d.Access(machine.GPU, a, a.Base, 8, memsim.Write)
-	d.Access(machine.GPU, a, a.Base+4096, 8, memsim.Write)
+	access(d, machine.GPU, a, a.Base, 8, memsim.Write)
+	access(d, machine.GPU, a, a.Base+4096, 8, memsim.Write)
 	if d.GPUMemoryUsed() != 2*4096 {
 		t.Fatalf("residency %d", d.GPUMemoryUsed())
 	}
@@ -446,10 +508,10 @@ func TestAdviseRangeAffectsOnlyRange(t *testing.T) {
 	}
 	// CPU touches all pages, GPU reads all pages.
 	for p := int64(0); p < 4; p++ {
-		d.Access(machine.CPU, a, a.Base+memsim.Addr(p*4096), 8, memsim.Write)
+		access(d, machine.CPU, a, a.Base+memsim.Addr(p*4096), 8, memsim.Write)
 	}
 	for p := int64(0); p < 4; p++ {
-		d.Access(machine.GPU, a, a.Base+memsim.Addr(p*4096), 8, memsim.Read)
+		access(d, machine.GPU, a, a.Base+memsim.Addr(p*4096), 8, memsim.Read)
 	}
 	s := d.Stats()
 	// Pages 0-1 duplicate; pages 2-3 migrate.
@@ -479,10 +541,10 @@ func TestAdviseRangeThenWholeAllocation(t *testing.T) {
 	_ = d.Advise(a, AdviseSetPreferredLocation, machine.CPU)
 	// Both pages should now behave preferred-CPU: the GPU maps rather than
 	// migrating.
-	d.Access(machine.CPU, a, a.Base, 8, memsim.Write)
-	d.Access(machine.CPU, a, a.Base+4096, 8, memsim.Write)
-	d.Access(machine.GPU, a, a.Base, 8, memsim.Read)
-	d.Access(machine.GPU, a, a.Base+4096, 8, memsim.Read)
+	access(d, machine.CPU, a, a.Base, 8, memsim.Write)
+	access(d, machine.CPU, a, a.Base+4096, 8, memsim.Write)
+	access(d, machine.GPU, a, a.Base, 8, memsim.Read)
+	access(d, machine.GPU, a, a.Base+4096, 8, memsim.Read)
 	if d.Stats().Migrations() != 0 {
 		t.Errorf("migrations = %d, want 0 (both pages preferred-CPU)", d.Stats().Migrations())
 	}
@@ -499,10 +561,10 @@ func TestAdviseRangePreferredSubRange(t *testing.T) {
 	if err := d.AdviseRange(a, 4096, 4096, AdviseSetPreferredLocation, machine.CPU); err != nil {
 		t.Fatal(err)
 	}
-	d.Access(machine.CPU, a, a.Base, 8, memsim.Write)
-	d.Access(machine.CPU, a, a.Base+4096, 8, memsim.Write)
-	c0 := d.Access(machine.GPU, a, a.Base, 8, memsim.Read)
-	c1 := d.Access(machine.GPU, a, a.Base+4096, 8, memsim.Read)
+	access(d, machine.CPU, a, a.Base, 8, memsim.Write)
+	access(d, machine.CPU, a, a.Base+4096, 8, memsim.Write)
+	c0 := access(d, machine.GPU, a, a.Base, 8, memsim.Read)
+	c1 := access(d, machine.GPU, a, a.Base+4096, 8, memsim.Read)
 	if c0.MigratedBytes == 0 {
 		t.Error("unadvised page should migrate")
 	}
@@ -517,10 +579,10 @@ func TestPrefetchThenReadMostly(t *testing.T) {
 	plat := testPlatform()
 	d, sp := newDriver(t, plat)
 	a := managed(t, d, sp, 4096, "a")
-	d.Access(machine.CPU, a, a.Base, 8, memsim.Write)
+	access(d, machine.CPU, a, a.Base, 8, memsim.Write)
 	d.Prefetch(a, machine.GPU)
 	_ = d.Advise(a, AdviseSetReadMostly, machine.CPU)
-	c := d.Access(machine.CPU, a, a.Base, 8, memsim.Read)
+	c := access(d, machine.CPU, a, a.Base, 8, memsim.Read)
 	if d.Stats().Duplications != 1 {
 		t.Errorf("duplications = %d, want 1 (CPU copy)", d.Stats().Duplications)
 	}
@@ -541,10 +603,10 @@ func TestEvictionUnderReadMostly(t *testing.T) {
 	a := managed(t, d, sp, 6*4096, "a")
 	_ = d.Advise(a, AdviseSetReadMostly, machine.CPU)
 	for p := int64(0); p < 6; p++ {
-		d.Access(machine.CPU, a, a.Base+memsim.Addr(p*4096), 8, memsim.Write)
+		access(d, machine.CPU, a, a.Base+memsim.Addr(p*4096), 8, memsim.Write)
 	}
 	for p := int64(0); p < 6; p++ {
-		d.Access(machine.GPU, a, a.Base+memsim.Addr(p*4096), 8, memsim.Read)
+		access(d, machine.GPU, a, a.Base+memsim.Addr(p*4096), 8, memsim.Read)
 	}
 	if used := d.GPUMemoryUsed(); used > plat.GPUMemory {
 		t.Errorf("residency %d over capacity %d", used, plat.GPUMemory)
@@ -569,8 +631,8 @@ func TestQueueCompaction(t *testing.T) {
 	a := managed(t, d, sp, 16*4096, "a")
 	for i := 0; i < 3000; i++ {
 		p := int64(i % 16)
-		d.Access(machine.GPU, a, a.Base+memsim.Addr(p*4096), 8, memsim.Write)
-		d.Access(machine.CPU, a, a.Base+memsim.Addr(((p+8)%16)*4096), 8, memsim.Write)
+		access(d, machine.GPU, a, a.Base+memsim.Addr(p*4096), 8, memsim.Write)
+		access(d, machine.CPU, a, a.Base+memsim.Addr(((p+8)%16)*4096), 8, memsim.Write)
 	}
 	if used := d.GPUMemoryUsed(); used < 0 || used > plat.GPUMemory {
 		t.Errorf("residency %d out of bounds", used)
@@ -606,7 +668,7 @@ func TestThrashDetection(t *testing.T) {
 	a := managed(t, d, sp, 6*4096, "big")
 	for round := 0; round < 3; round++ {
 		for p := int64(0); p < 6; p++ {
-			d.Access(machine.GPU, a, a.Base+memsim.Addr(p*4096), 8, memsim.Write)
+			access(d, machine.GPU, a, a.Base+memsim.Addr(p*4096), 8, memsim.Write)
 		}
 	}
 	if d.Stats().Thrashes == 0 {
@@ -617,7 +679,7 @@ func TestThrashDetection(t *testing.T) {
 	b := managed(t, d2, sp2, 3*4096, "small")
 	for round := 0; round < 3; round++ {
 		for p := int64(0); p < 3; p++ {
-			d2.Access(machine.GPU, b, b.Base+memsim.Addr(p*4096), 8, memsim.Write)
+			access(d2, machine.GPU, b, b.Base+memsim.Addr(p*4096), 8, memsim.Write)
 		}
 	}
 	if d2.Stats().Thrashes != 0 {

@@ -303,7 +303,7 @@ func (r *replayer) hostPhaseEvent(ev *timeline.Event) error {
 			continue
 		}
 		for _, pa := range aa.Pages {
-			c := r.drv.AccessAggregate(machine.CPU, ra.a, pa.Page, pa.Reads, pa.Writes, pa.Accesses)
+			c := r.drv.Access(machine.CPU, ra.a, pa.Page, pa.Reads, pa.Writes, pa.Accesses)
 			total += c.HostTime(r.plat)
 		}
 		if ra.place == um.PlacePrefetch {
@@ -351,7 +351,7 @@ func (r *replayer) kernelEvent(ev *timeline.Event) error {
 		// candidate replays reuse the captured value.
 		var local, remote machine.Duration
 		for _, pa := range aa.Pages {
-			c := r.drv.AccessAggregate(machine.GPU, ra.a, pa.Page, pa.Reads, pa.Writes, pa.Accesses)
+			c := r.drv.Access(machine.GPU, ra.a, pa.Page, pa.Reads, pa.Writes, pa.Accesses)
 			local += c.Local
 			remote += c.Remote
 			k.Serial += c.Serial

@@ -73,10 +73,17 @@ func testApps() map[string]func(*core.Session) error {
 // predictions under changed placements: the cost model is re-executed, not
 // curve-fitted.
 func TestObservedReplayIsExact(t *testing.T) {
+	// A hardware-coherent platform whose access counters migrate a page
+	// at its first remote access: replay must split every span at its
+	// first remote access, as the live run migrates there.
+	counters := machine.IBMVolta().Clone()
+	counters.Name = "IBM+Volta (counter threshold 0)"
+	counters.CounterMigrationThreshold = 0
 	plats := map[string]*machine.Platform{
-		"intel-pascal": machine.IntelPascal(),
-		"intel-volta":  machine.IntelVolta(),
-		"ibm-volta":    machine.IBMVolta(),
+		"intel-pascal":        machine.IntelPascal(),
+		"intel-volta":         machine.IntelVolta(),
+		"ibm-volta":           machine.IBMVolta(),
+		"ibm-volta-counter-0": counters,
 	}
 	for pname, plat := range plats {
 		for aname, app := range testApps() {

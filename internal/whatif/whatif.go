@@ -11,9 +11,12 @@
 // choreography event by event and re-prices the aggregates through a
 // fresh um.Driver, so placement-dependent costs (faults, migrations,
 // remote traffic, eviction) are re-derived rather than extrapolated.
-// Within one span the driver prices every access of one page identically
-// (the steady state the first access establishes), so per-page aggregate
-// totals lose no information and an all-observed replay is exact.
+// Each (span, page) aggregate is one call to um.Driver.Access, the same
+// page state machine a live run calls once per element access. Within
+// one span the driver prices every access of one page identically (the
+// steady state the first access establishes) and splits a span where an
+// access counter migrates the page, so per-page aggregate totals lose no
+// information and an all-observed replay is exact.
 //
 // Known approximations, accepted for the replay's compactness:
 //
@@ -24,6 +27,9 @@
 //     diverge from the live interleaving of individual accesses.
 //   - The optional GPU L2 model prices individual addresses and is not
 //     replayed; no built-in platform preset enables it.
+//   - A counter migration that splits a span assumes uniform words per
+//     access, and under ReadMostly a span's reads are priced before its
+//     writes (see um.Driver.Access).
 package whatif
 
 import (

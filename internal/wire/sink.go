@@ -263,27 +263,18 @@ func (s *StreamSink) cutLocked(wait bool) {
 
 // enqueueLocked applies the backpressure policy and queues one encoded
 // segment; the caller holds s.mu. pendingBytes never exceeds queueBytes.
+//
+// A dead writer (a write failed) or a closed sink (Close ended the
+// writer) can never drain the queue, so blocking would deadlock the
+// recording engine: under both policies every later segment is dropped
+// and counted instead. A write error surfaces via Close.
 func (s *StreamSink) enqueueLocked(enc []byte, recs int64, wait bool) {
-	if s.werr != nil {
-		// The writer is dead: nothing can ever drain, so blocking would
-		// deadlock the recording engine. Count the loss and surface the
-		// error via Close.
-		s.dropSegs++
-		s.dropRecs += recs
-		s.dropBytes += int64(len(enc))
-		return
-	}
 	if s.policy == Block || wait {
-		for s.pendingBytes+len(enc) > s.queueBytes && s.werr == nil {
+		for s.pendingBytes+len(enc) > s.queueBytes && s.werr == nil && !s.closed {
 			s.cond.Wait()
 		}
-		if s.werr != nil {
-			s.dropSegs++
-			s.dropRecs += recs
-			s.dropBytes += int64(len(enc))
-			return
-		}
-	} else if s.pendingBytes+len(enc) > s.queueBytes {
+	}
+	if s.werr != nil || s.closed || s.pendingBytes+len(enc) > s.queueBytes {
 		s.dropSegs++
 		s.dropRecs += recs
 		s.dropBytes += int64(len(enc))

@@ -222,6 +222,50 @@ func TestSoakWriterDeath(t *testing.T) {
 	}
 }
 
+// TestApplyAfterClose pins the closed-sink escape hatch: Close ends the
+// writer goroutine, so a sink that keeps receiving batches (a tracer's
+// stream stays attached after its caller closes it) must drop and count
+// them under both policies instead of queueing segments no writer will
+// drain. Four producers at once send enough records to fill the default
+// queue budget several times.
+func TestApplyAfterClose(t *testing.T) {
+	for _, policy := range []wire.Policy{wire.Block, wire.Drop} {
+		var out bytes.Buffer
+		ss, err := wire.NewStreamSink(&out, wire.Config{
+			Hello:  wire.Hello{Tenant: "soak", Process: "closed", Policy: byte(policy)},
+			Policy: policy,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ss.Close(); err != nil {
+			t.Fatal(err)
+		}
+		closedLen := out.Len()
+		var applied int64
+		done := make(chan struct{})
+		go func() {
+			applied = produce(ss, 4, 128, 4096)
+			ss.Flush()
+			close(done)
+		}()
+		select {
+		case <-done:
+		case <-time.After(30 * time.Second):
+			t.Fatalf("policy %d: Apply after Close wedged", policy)
+		}
+		if _, recs, _ := ss.Dropped(); recs != applied {
+			t.Errorf("policy %d: %d records dropped after Close, want %d", policy, recs, applied)
+		}
+		if out.Len() != closedLen {
+			t.Errorf("policy %d: %d bytes written after Close", policy, out.Len()-closedLen)
+		}
+		if err := ss.Close(); err != nil {
+			t.Errorf("policy %d: second Close: %v", policy, err)
+		}
+	}
+}
+
 type failingWriter struct {
 	n         int
 	failAfter int

@@ -84,6 +84,10 @@ type runtime struct {
 	// addresses, but free frames reference allocations by id.
 	streams     []*wire.StreamSink
 	nextAllocID int
+
+	// analysis are the sinks EnableHeatmap and EnablePatterns attached
+	// over the current table; Reset detaches them with the table.
+	analysis []record.Sink
 }
 
 func newRuntime() *runtime {
@@ -103,15 +107,21 @@ func recordAccess(dev Device, addr uintptr, size int64, kind memsim.AccessKind) 
 	rt.eng.Record(dev, memsim.Addr(addr), size, kind)
 }
 
-// Reset discards all registered allocations and recorded accesses;
-// intended for tests and for programs analyzing several phases
-// independently.
+// Reset discards all registered allocations and recorded accesses and
+// detaches the EnableHeatmap and EnablePatterns sinks; intended for tests
+// and for programs analyzing several phases independently. Sinks attached
+// by AddSink and EnableStream stay attached.
 func Reset() {
 	rt.eng.Reset()
+	var detach []record.Sink
 	rt.eng.Locked(func() {
 		rt.sink.SetTable(shadow.NewTable())
 		rt.opt = detect.DefaultOptions()
+		detach, rt.analysis = rt.analysis, nil
 	})
+	for _, s := range detach {
+		rt.eng.RemoveSink(s)
+	}
 	defaultDev.Store(uint32(CPU))
 }
 
@@ -131,11 +141,14 @@ func AddSink(s record.Sink) { rt.eng.AddSink(s) }
 
 // EnableHeatmap attaches a per-word access-frequency observer (a
 // record.HeatmapSink) over the current shadow table and returns it. The
-// sink observes accesses recorded from now on; a later Reset replaces the
-// table and orphans the sink, so enable it again after resetting.
+// sink observes accesses recorded from now on; a later Reset detaches the
+// sink, so enable it again after resetting.
 func EnableHeatmap() *record.HeatmapSink {
 	var hm *record.HeatmapSink
-	rt.eng.Locked(func() { hm = record.NewHeatmapSink(rt.sink.Table()) })
+	rt.eng.Locked(func() {
+		hm = record.NewHeatmapSink(rt.sink.Table())
+		rt.analysis = append(rt.analysis, hm)
+	})
 	rt.eng.AddSink(hm)
 	return hm
 }
@@ -146,10 +159,13 @@ func EnableHeatmap() *record.HeatmapSink {
 // programs have no kernel launches, so every stream stays in span 0
 // unless the caller marks phases itself via Sink.BeginSpan (inside
 // a flush; see the pattern package). Like EnableHeatmap, a later Reset
-// orphans the sink.
+// detaches the sink.
 func EnablePatterns() *pattern.Sink {
 	var ps *pattern.Sink
-	rt.eng.Locked(func() { ps = pattern.NewSink(rt.sink.Table()) })
+	rt.eng.Locked(func() {
+		ps = pattern.NewSink(rt.sink.Table())
+		rt.analysis = append(rt.analysis, ps)
+	})
 	rt.eng.AddSink(ps)
 	return ps
 }

@@ -400,6 +400,32 @@ func TestEnableHeatmap(t *testing.T) {
 	Report()
 }
 
+// TestResetDetachesAnalysisSinks: Reset detaches the EnableHeatmap and
+// EnablePatterns sinks. They resolve batches against the table Reset
+// discards, which still holds the first registration of xs, so a sink
+// left attached would count the writes made after Reset.
+func TestResetDetachesAnalysisSinks(t *testing.T) {
+	Reset()
+	defer Reset()
+	xs := Slice[float64](64, "xs")
+	hm := EnableHeatmap()
+	ps := EnablePatterns()
+	Reset()
+	Register(xs, "xs")
+	for i := range xs {
+		*TraceW(&xs[i]) = 1
+	}
+	Flush()
+	if rows := ps.Rows(); len(rows) != 0 {
+		t.Errorf("pattern sink kept %d streams after Reset", len(rows))
+	}
+	for _, h := range hm.Heats() {
+		if h.Totals != [machine.NumDevices]uint64{} {
+			t.Errorf("heat map counted %v word accesses to %s after Reset", h.Totals, h.Label())
+		}
+	}
+}
+
 // TestEnableStreamTwice attaches two stream sinks and replays each: both
 // must carry the allocation's life-cycle frames, not only the sink
 // attached last, so the two replayed reports list the allocation and
