@@ -214,6 +214,15 @@ func TestReportJSONGoldens(t *testing.T) {
 			"-cols", "64", "-rows", "41", "-pyramid", "10", "-json", "-patterns"},
 		"report-sw-patterns": {"run", "./cmd/xplacer", "-app", "sw",
 			"-size", "24", "-json", "-patterns"},
+		// The -heatmap runs pin the live heat map: rows annotated with
+		// pattern classes, clock-rotated epochs, and temporaries freed
+		// between mid-run diagnostics.
+		"report-pathfinder-heatmap": {"run", "./cmd/xplacer", "-app", "pathfinder",
+			"-cols", "64", "-rows", "41", "-pyramid", "10", "-json", "-heatmap", "-patterns"},
+		"report-sw-heatmap-epoch": {"run", "./cmd/xplacer", "-app", "sw",
+			"-size", "24", "-json", "-heatmap", "-heatmap-epoch", "50us"},
+		"report-lulesh-heatmap": {"run", "./cmd/xplacer", "-app", "lulesh",
+			"-size", "4", "-steps", "2", "-diag-every", "1", "-json", "-heatmap"},
 		// The -adapt runs pin the controller's decision log (schema v3):
 		// the multi-phase proxy where it re-places six allocations mid-run,
 		// and pathfinder where a correctly quiet controller applies nothing.
