@@ -43,9 +43,7 @@ import (
 	"xplacer/internal/detect"
 	"xplacer/internal/diag"
 	"xplacer/internal/machine"
-	"xplacer/internal/pattern"
 	"xplacer/internal/pipeline"
-	"xplacer/internal/record"
 	"xplacer/internal/timeline"
 	"xplacer/internal/whatif"
 	"xplacer/internal/wire"
@@ -127,18 +125,29 @@ func main() {
 			Workers:    *wiWorkers,
 		})
 	}
-	var hm *record.HeatmapSink
-	var ps *pattern.Sink
+	// pl is the run's analysis pipeline: the tracer's, or under
+	// -trace-budget the one the trace log is replayed into. enable
+	// attaches the analyses -heatmap and -patterns ask for, sampling
+	// clock: the simulated clock live, the stream clock in the replay.
+	// Pattern span start times then line up with the exported timeline.
+	pl := s.Tracer.Pipeline()
+	epoch := machine.Duration(hmEpoch.Nanoseconds()) * machine.Nanosecond
+	enable := func(pl *pipeline.Pipeline, clock func() machine.Duration) {
+		if *heatmap {
+			pl.EnableHeatmap(epoch, clock)
+		}
+		if *patterns {
+			pl.EnablePatterns(clock)
+		}
+	}
 	var logFile *os.File
 	var logSink *wire.StreamSink
-	epoch := machine.Duration(hmEpoch.Nanoseconds()) * machine.Nanosecond
 	if *budget > 0 && (*heatmap || *patterns) {
-		// Bounded-memory mode: instead of live heat-map/pattern state, the
-		// trace goes out as an ordinary wire stream to a temporary log
-		// through a queue capped at -trace-budget bytes, and a fresh
-		// pipeline replays the log after the run. The shadow table,
-		// findings, and what-if capture are unaffected — they retain
-		// O(allocations), not O(accesses).
+		// Deferred-analysis mode: the heat map and classifier are not
+		// built during the run. The trace goes out as an ordinary wire
+		// stream to a temporary log through a queue capped at
+		// -trace-budget bytes, and a fresh pipeline replays the log after
+		// the run.
 		logFile, err = os.CreateTemp("", "xplacer-trace-*.xplt")
 		if err != nil {
 			fatal(err)
@@ -155,18 +164,7 @@ func main() {
 		}
 		s.Tracer.EnableStream(logSink)
 	} else {
-		if *heatmap {
-			// Observe access frequencies against the tracer's table; the sink
-			// sees every batch the recording engine drains from here on.
-			hm = record.NewHeatmapSink(s.Tracer.Table())
-			hm.RotateOnClock(epoch, s.Ctx.Now)
-			s.Tracer.AddSink(hm)
-		}
-		if *patterns {
-			// Classify access structure per (kernel span, allocation, device);
-			// span start times come from the simulated clock.
-			ps = s.Tracer.EnablePatterns(s.Ctx.Now)
-		}
+		enable(pl, s.Ctx.Now)
 	}
 
 	var ss *wire.StreamSink
@@ -313,15 +311,10 @@ func main() {
 		// table sees the alloc and free frames in order, so every access
 		// resolves the way it did for the live table.
 		s.Tracer.Flush()
-		pl, err := replayLog(logSink, logFile, plat, epoch)
-		if err != nil {
+		pl = pipeline.New()
+		enable(pl, pl.Now)
+		if err := replayLog(logSink, logFile, pl); err != nil {
 			fatal(fmt.Errorf("trace log: %w", err))
-		}
-		if *heatmap {
-			hm = pl.Heatmap()
-		}
-		if *patterns {
-			ps = pl.Patterns()
 		}
 	}
 
@@ -344,16 +337,9 @@ func main() {
 	}
 
 	rep := s.Diagnostic(nil, "end of run")
-	if hm != nil {
-		// Diagnostic flushed the tracer, so the heat counts are complete.
-		rep.Heatmap = diag.SummarizeHeatmap(hm, 64)
-	}
-	if ps != nil {
-		// Likewise quiescent; penalties are scaled to this platform's
-		// coalescing knob so the report matches what the cost model charged.
-		rep.Patterns = diag.SummarizePatterns(ps, plat.CoalescePenaltyPct)
-		rep.Patterns.AnnotateHeatmap(rep.Heatmap)
-	}
+	// Diagnostic flushed the tracer, so the heat counts and pattern
+	// streams are complete.
+	pl.Summarize(&rep, plat)
 	if *whatIf {
 		// The diagnostic flushed the trailing host window, so the trace is
 		// complete. The analysis rides in the report (JSON key "whatif").
@@ -440,20 +426,19 @@ func main() {
 }
 
 // replayLog closes the -trace-budget log's sink and replays the log
-// through a fresh pipeline. A write error or any dropped segment is
-// fatal: a short log would silently yield a different report.
-func replayLog(ss *wire.StreamSink, f *os.File, plat *machine.Platform, heatEpoch machine.Duration) (*pipeline.Pipeline, error) {
+// into pl. A write error or any dropped segment is fatal: a short log
+// would silently yield a different report.
+func replayLog(ss *wire.StreamSink, f *os.File, pl *pipeline.Pipeline) error {
 	if err := ss.Close(); err != nil {
-		return nil, err
+		return err
 	}
 	if segs, recs, _ := ss.Dropped(); segs > 0 {
-		return nil, fmt.Errorf("dropped %d segment(s): %d records", segs, recs)
+		return fmt.Errorf("dropped %d segment(s): %d records", segs, recs)
 	}
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return nil, err
+		return err
 	}
-	pl := pipeline.New(plat, heatEpoch)
-	return pl, wire.ReadStream(bufio.NewReader(f), wire.StreamHandler{
+	return wire.ReadStream(bufio.NewReader(f), wire.StreamHandler{
 		Hello: func(wire.Hello) (wire.Handler, error) { return pl.Handler(), nil },
 	})
 }

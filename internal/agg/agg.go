@@ -142,8 +142,11 @@ type Proc struct {
 	queue chan *applyItem
 
 	// pl is the worker-owned analysis state (no mutex: single-writer by
-	// design).
-	pl *pipeline.Pipeline
+	// design), driven through its wire-edge handler h. plat scales its
+	// report's pattern penalties.
+	pl   *pipeline.Pipeline
+	h    wire.Handler
+	plat *machine.Platform
 
 	// pub is the last snapshot the worker published.
 	pub atomic.Pointer[Snapshot]
@@ -178,13 +181,18 @@ func newProc(g *Aggregator, h wire.Hello) *Proc {
 		// first known preset.
 		plat, _ = machine.ByName("Intel+Pascal")
 	}
+	pl := pipeline.New()
+	pl.EnableHeatmap(0, pl.Now)
+	pl.EnablePatterns(pl.Now)
 	p := &Proc{
 		Tenant:   h.Tenant,
 		Process:  h.Process,
 		Platform: h.Platform,
 		g:        g,
 		queue:    make(chan *applyItem, g.queueDepth),
-		pl:       pipeline.New(plat, 0),
+		pl:       pl,
+		h:        pl.Handler(),
+		plat:     plat,
 		exited:   make(chan struct{}),
 	}
 	go p.run()
@@ -228,21 +236,21 @@ func (p *Proc) apply(it *applyItem) {
 		p.records.Add(int64(len(it.batch)))
 		p.g.batchesTotal.Add(1)
 		p.g.recordsTotal.Add(int64(len(it.batch)))
-		p.pl.Batch(it.batch)
+		p.h.Batch(it.batch)
 		p.g.batches.Put(it.batch)
 		it.batch = nil
 	case wire.FrameSpan:
-		p.pl.Span(it.name, it.at)
+		p.h.Span(it.name, it.at)
 	case wire.FrameClock:
-		p.pl.Clock(it.at)
+		p.h.Clock(it.at)
 	case wire.FrameAlloc:
-		p.pl.Alloc(it.alloc)
+		p.h.Alloc(it.alloc)
 	case wire.FrameFree:
-		p.pl.Free(it.id)
+		p.h.Free(it.id)
 	case wire.FrameLabel:
-		p.pl.Label(it.id, it.name)
+		p.h.Label(it.id, it.name)
 	case wire.FrameTransfer:
-		p.pl.Transfer(it.tr)
+		p.h.Transfer(it.tr)
 	case itemSnapshot:
 		s := p.publish()
 		if it.snap != nil {
@@ -255,7 +263,7 @@ func (p *Proc) apply(it *applyItem) {
 // or after Close, when the worker has exited.
 func (p *Proc) publish() *Snapshot {
 	s := &Snapshot{
-		Report: p.pl.Report(p.Key()),
+		Report: p.pl.Report(p.Key(), p.plat),
 		Spans:  p.pl.Patterns().Spans()[1:],
 		Now:    p.pl.Now(),
 		seq:    p.app.Load(),

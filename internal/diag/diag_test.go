@@ -1,4 +1,4 @@
-package diag
+package diag_test
 
 import (
 	"encoding/json"
@@ -6,9 +6,9 @@ import (
 	"testing"
 
 	"xplacer/internal/detect"
+	"xplacer/internal/diag"
 	"xplacer/internal/machine"
 	"xplacer/internal/memsim"
-	"xplacer/internal/shadow"
 	"xplacer/internal/trace"
 	"xplacer/internal/um"
 )
@@ -45,7 +45,7 @@ func TestSummarizeCounts(t *testing.T) {
 	if e == nil {
 		t.Fatal("entry not found")
 	}
-	s := Summarize(e)
+	s := diag.Summarize(e)
 	if s.WriteC != 27 || s.WriteG != 0 {
 		t.Errorf("writes C=%d G=%d, want 27, 0", s.WriteC, s.WriteG)
 	}
@@ -75,7 +75,7 @@ func TestReportTextFig4Shape(t *testing.T) {
 		tr.TraceAccess(machine.GPU, a, a.Base+memsim.Addr(i*4), 4, memsim.Read)
 	}
 	var b strings.Builder
-	r := Analyze(tr.Table().Entries(), "after timestep 2", detect.DefaultOptions())
+	r := diag.Analyze(tr.Table().Entries(), "after timestep 2", detect.DefaultOptions())
 	r.Text(&b)
 	tr.Table().Reset()
 	out := b.String()
@@ -96,7 +96,7 @@ func TestReportTextFig4Shape(t *testing.T) {
 		t.Error("expected findings (low density + alternating)")
 	}
 	// Table.Reset clears the interval state.
-	s2 := Summarize(tr.Table().FindByID(a.ID))
+	s2 := diag.Summarize(tr.Table().FindByID(a.ID))
 	if s2.WriteC != 0 || s2.Alternating != 0 {
 		t.Error("Reset did not clear the shadow state")
 	}
@@ -105,7 +105,7 @@ func TestReportTextFig4Shape(t *testing.T) {
 func TestReportCSV(t *testing.T) {
 	tr, a := sim(t, 10)
 	tr.TraceAccess(machine.CPU, a, a.Base, 4, memsim.Write)
-	r := Analyze(tr.Table().Entries(), "", detect.DefaultOptions())
+	r := diag.Analyze(tr.Table().Entries(), "", detect.DefaultOptions())
 	var b strings.Builder
 	r.CSV(&b)
 	lines := strings.Split(strings.TrimSpace(b.String()), "\n")
@@ -120,22 +120,13 @@ func TestReportCSV(t *testing.T) {
 	}
 }
 
-func TestCSVEscaping(t *testing.T) {
-	if got := csvEscape(`a,b"c`); got != `"a,b""c"` {
-		t.Errorf("csvEscape = %q", got)
-	}
-	if got := csvEscape("plain"); got != "plain" {
-		t.Errorf("csvEscape(plain) = %q", got)
-	}
-}
-
 func TestAccessMap(t *testing.T) {
 	tr, a := sim(t, 16)
 	for i := 0; i < 4; i++ {
 		tr.TraceAccess(machine.CPU, a, a.Base+memsim.Addr(i*4), 4, memsim.Write)
 	}
 	e := tr.Table().FindByID(a.ID)
-	m := AccessMap(e, CPUWrites, 8)
+	m := diag.AccessMap(e, diag.CPUWrites, 8)
 	if !strings.Contains(m, "####....") {
 		t.Errorf("map:\n%s", m)
 	}
@@ -143,7 +134,7 @@ func TestAccessMap(t *testing.T) {
 		t.Errorf("map header missing: %s", m)
 	}
 	// GPU writes map must be empty.
-	g := AccessMap(e, GPUWrites, 8)
+	g := diag.AccessMap(e, diag.GPUWrites, 8)
 	if strings.Contains(g, "#") {
 		t.Errorf("GPU map not empty:\n%s", g)
 	}
@@ -155,7 +146,7 @@ func TestMapRowDownsamples(t *testing.T) {
 	for i := 500; i < 1000; i++ {
 		tr.TraceAccess(machine.GPU, a, a.Base+memsim.Addr(i*4), 4, memsim.Write)
 	}
-	row := MapRow(tr.Table().FindByID(a.ID), GPUWrites, 10)
+	row := diag.MapRow(tr.Table().FindByID(a.ID), diag.GPUWrites, 10)
 	if row != ".....#####" {
 		t.Errorf("row = %q", row)
 	}
@@ -164,7 +155,7 @@ func TestMapRowDownsamples(t *testing.T) {
 func TestMapRowSmallerThanWidth(t *testing.T) {
 	tr, a := sim(t, 4)
 	tr.TraceAccess(machine.CPU, a, a.Base, 4, memsim.Write)
-	row := MapRow(tr.Table().FindByID(a.ID), CPUWrites, 64)
+	row := diag.MapRow(tr.Table().FindByID(a.ID), diag.CPUWrites, 64)
 	if row != "#..." {
 		t.Errorf("row = %q", row)
 	}
@@ -179,19 +170,19 @@ func TestMapCategories(t *testing.T) {
 	tr.TraceAccess(machine.CPU, a, a.Base+4, 4, memsim.Read)  // G>C
 	e := tr.Table().FindByID(a.ID)
 	cases := []struct {
-		cat  MapCategory
+		cat  diag.MapCategory
 		want string
 	}{
-		{CPUWrites, "#..."},
-		{GPUWrites, ".#.."},
-		{GPUReadsCPUOrigin, "#..."},
-		{GPUReadsGPUOrigin, ".#.."},
-		{CPUReads, ".#.."},
-		{GPUReads, "##.."},
-		{AnyAccess, "##.."},
+		{diag.CPUWrites, "#..."},
+		{diag.GPUWrites, ".#.."},
+		{diag.GPUReadsCPUOrigin, "#..."},
+		{diag.GPUReadsGPUOrigin, ".#.."},
+		{diag.CPUReads, ".#.."},
+		{diag.GPUReads, "##.."},
+		{diag.AnyAccess, "##.."},
 	}
 	for _, c := range cases {
-		if got := MapRow(e, c.cat, 4); got != c.want {
+		if got := diag.MapRow(e, c.cat, 4); got != c.want {
 			t.Errorf("%v row = %q, want %q", c.cat, got, c.want)
 		}
 	}
@@ -200,7 +191,7 @@ func TestMapCategories(t *testing.T) {
 func TestReportFind(t *testing.T) {
 	tr, a := sim(t, 10)
 	tr.TraceAccess(machine.CPU, a, a.Base, 4, memsim.Write)
-	r := Analyze(tr.Table().Entries(), "", detect.DefaultOptions())
+	r := diag.Analyze(tr.Table().Entries(), "", detect.DefaultOptions())
 	if r.Find("dom") == nil {
 		t.Error("Find(dom) = nil")
 	}
@@ -217,14 +208,14 @@ func TestFreedAllocationAppearsOnce(t *testing.T) {
 	tr.TraceAccess(machine.GPU, a, a.Base, 4, memsim.Write)
 	tr.TraceFree(a)
 	var b strings.Builder
-	r := Analyze(tr.Table().Entries(), "", detect.DefaultOptions())
+	r := diag.Analyze(tr.Table().Entries(), "", detect.DefaultOptions())
 	r.Text(&b)
 	tr.Table().Reset()
 	if !strings.Contains(b.String(), "[freed]") {
 		t.Errorf("freed marker missing:\n%s", b.String())
 	}
 	// After the diagnostic, the freed entry is gone.
-	r = Analyze(tr.Table().Entries(), "", detect.DefaultOptions())
+	r = diag.Analyze(tr.Table().Entries(), "", detect.DefaultOptions())
 	if len(r.Allocs) != 0 {
 		t.Error("freed entry survived the diagnostic")
 	}
@@ -237,21 +228,11 @@ func TestTransferLineInText(t *testing.T) {
 	tr.TraceAlloc(a)
 	tr.TraceTransfer(a, um.HostToDevice, 0, 256)
 	var b strings.Builder
-	r := Analyze(tr.Table().Entries(), "", detect.DefaultOptions())
+	r := diag.Analyze(tr.Table().Entries(), "", detect.DefaultOptions())
 	r.Text(&b)
 	tr.Table().Reset()
 	if !strings.Contains(b.String(), "explicit transfers: 256 bytes in, 0 bytes out") {
 		t.Errorf("transfer line missing:\n%s", b.String())
-	}
-}
-
-func TestShadowBitsExposedConsistently(t *testing.T) {
-	// The diag masks must match the shadow bit definitions.
-	if CPUWrites.mask() != shadow.CPUWrote || GPUWrites.mask() != shadow.GPUWrote {
-		t.Error("write masks diverge from shadow bits")
-	}
-	if GPUReads.mask() != shadow.ReadCG|shadow.ReadGG {
-		t.Error("GPU read mask wrong")
 	}
 }
 
@@ -260,7 +241,7 @@ func TestMapCSV(t *testing.T) {
 	tr.TraceAccess(machine.CPU, a, a.Base, 4, memsim.Write)
 	tr.TraceAccess(machine.GPU, a, a.Base, 4, memsim.Read)
 	var b strings.Builder
-	MapCSV(&b, tr.Table().FindByID(a.ID))
+	diag.MapCSV(&b, tr.Table().FindByID(a.ID))
 	lines := strings.Split(strings.TrimSpace(b.String()), "\n")
 	if len(lines) != 5 {
 		t.Fatalf("lines = %d, want header + 4", len(lines))
@@ -280,7 +261,7 @@ func TestReportJSON(t *testing.T) {
 	tr, a := sim(t, 100)
 	tr.TraceAccess(machine.CPU, a, a.Base, 4, memsim.Write)
 	tr.TraceAccess(machine.GPU, a, a.Base, 4, memsim.Read)
-	r := Analyze(tr.Table().Entries(), "step 1", detect.DefaultOptions())
+	r := diag.Analyze(tr.Table().Entries(), "step 1", detect.DefaultOptions())
 	var b strings.Builder
 	if err := r.JSON(&b); err != nil {
 		t.Fatal(err)

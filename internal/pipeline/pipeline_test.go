@@ -14,7 +14,9 @@ import (
 // and transfers land on the entry, spans carry their frame times, and
 // heat-map epochs rotate on the stream clock.
 func TestFrameSemantics(t *testing.T) {
-	p := New(machine.IntelPascal(), 100)
+	p := New()
+	p.EnableHeatmap(100, p.Now)
+	p.EnablePatterns(p.Now)
 	h := p.Handler()
 	h.Alloc(wire.AllocInfo{ID: 1, Base: 0x1000, Size: 64, Kind: memsim.Managed, Label: "a", Fn: "cudaMallocManaged"})
 	h.Alloc(wire.AllocInfo{ID: 2, Base: 0x1020, Size: 64, Kind: memsim.Managed}) // overlaps 1
@@ -29,7 +31,7 @@ func TestFrameSemantics(t *testing.T) {
 	h.Transfer(wire.TransferInfo{ID: 9, Dir: wire.HostToDevice, Off: 0, N: 64})
 	h.Free(1)
 
-	r := p.Report("t")
+	r := p.Report("t", machine.IntelPascal())
 	if r.Title != "t" || len(r.Allocs) != 1 {
 		t.Fatalf("report %q has %d allocations, want 1", r.Title, len(r.Allocs))
 	}

@@ -3,12 +3,14 @@
 // the plain-Go runtime (xplrt). Both front ends used to carry their own
 // copy of the same machinery — access buffers, batched drains,
 // enable/disable, flush semantics. The engine owns exactly one
-// implementation of it, parameterized by a small Sink interface, so every
-// observer of the access stream (the canonical shadow-table sink, access
-// heat maps, pattern classifiers, wire streams) plugs in once and works
-// for every front end. The table-backed sinks resolve a drained batch
-// against the shadow table through one walk, shadow.Table.Each, each
-// carrying its own last-entry lookup hint between batches.
+// implementation of it, parameterized by a small Sink interface. Each
+// front end's sink is its pipeline.Pipeline, which hands a drained batch
+// to every observer of the access stream (the canonical shadow-table
+// sink, the heat map, the pattern classifier, wire streams), so each
+// plugs in once and works for every front end. The table-backed sinks
+// resolve a drained batch against the shadow table through one walk,
+// shadow.Table.Each, each carrying its own last-entry lookup hint
+// between batches.
 //
 // # Hot path
 //
@@ -99,7 +101,6 @@ package record
 import (
 	"math/bits"
 	"runtime"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -308,19 +309,6 @@ func (e *Engine) AddSink(s Sink) {
 	e.Flush()
 	e.mu.Lock()
 	e.sinks = append(e.sinks, s)
-	e.mu.Unlock()
-}
-
-// RemoveSink detaches a sink attached by NewEngine or AddSink. Accesses
-// already buffered are flushed first, so the sink observes every batch
-// recorded before RemoveSink returns and none after. Removing a sink
-// that is not attached is a no-op.
-func (e *Engine) RemoveSink(s Sink) {
-	e.Flush()
-	e.mu.Lock()
-	if i := slices.Index(e.sinks, s); i >= 0 {
-		e.sinks = slices.Concat(e.sinks[:i], e.sinks[i+1:])
-	}
 	e.mu.Unlock()
 }
 

@@ -10,11 +10,14 @@
 // instrumentation overhead characteristics of Table III carry over. The
 // per-P buffering and batch-drain machinery that keeps that lookup
 // off the per-access critical path lives in the shared recording engine
-// (internal/record); the tracer is a thin front end wiring the engine's
-// canonical TableSink to the CUDA-like wrappers. Flush ordering (why a
+// (internal/record), and the analysis state the drained batches and the
+// wrappers' events apply to — the shadow table, the optional heat map
+// and pattern classifier, the attached wire streams — is a
+// pipeline.Pipeline, the engine's sink. The tracer itself keeps only its
+// counters and the flush ordering of its interception points: why a
 // transfer's bulk access lands after every buffered element access, and
-// what concurrent simulated kernels may assume) is documented once, in
-// package record.
+// when a kernel launch is a drain point. What concurrent simulated
+// kernels may assume is documented once, in package record.
 package trace
 
 import (
@@ -24,6 +27,7 @@ import (
 	"xplacer/internal/machine"
 	"xplacer/internal/memsim"
 	"xplacer/internal/pattern"
+	"xplacer/internal/pipeline"
 	"xplacer/internal/record"
 	"xplacer/internal/shadow"
 	"xplacer/internal/um"
@@ -53,33 +57,18 @@ type Stats struct {
 // diagnostics and the other wrappers flush the access buffers before
 // touching the table.
 type Tracer struct {
-	sink *record.TableSink
-	eng  *record.Engine
-
-	// patterns is the optional access-pattern classifier sink
-	// (EnablePatterns). While attached, every kernel launch becomes a
-	// drain point so accesses attribute to the span of the kernel that
-	// made them; nil keeps the launch wrapper a bare counter increment
-	// and the flush schedule unchanged.
-	patterns *pattern.Sink
-
-	// streams are the attached wire streaming sinks (EnableStream): an
-	// out-of-process aggregator feed, a budgeted local log, or both.
-	// Besides seeing every drained batch, each receives the shadow-table
-	// life-cycle events (alloc, free, label, transfer) and span markers, so
-	// a consumer can rebuild exactly the state an in-process TableSink
-	// holds. Like patterns, they make kernel launches drain points.
-	streams []*wire.StreamSink
+	pl  *pipeline.Pipeline
+	eng *record.Engine
 
 	// Wrapper event counters; element-access kind counts live in the
-	// engine, untracked counts in the sink.
+	// engine, untracked counts in the pipeline.
 	allocs, frees, h2d, d2h, kernels atomic.Int64
 }
 
 // New creates an enabled tracer with an empty shadow memory table.
 func New() *Tracer {
-	sink := record.NewTableSink(shadow.NewTable())
-	return &Tracer{sink: sink, eng: record.NewEngine(sink)}
+	pl := pipeline.New()
+	return &Tracer{pl: pl, eng: record.NewEngine(pl)}
 }
 
 // AddSink attaches an additional observer (e.g. a record.HeatmapSink) to
@@ -91,7 +80,15 @@ func (t *Tracer) AddSink(s record.Sink) { t.eng.AddSink(s) }
 // use it while simulated kernels are still tracing.
 func (t *Tracer) Table() *shadow.Table {
 	t.eng.Flush()
-	return t.sink.Table()
+	return t.pl.Table()
+}
+
+// Pipeline flushes buffered accesses and exposes the tracer's analysis
+// pipeline. Like Table, it is not goroutine-safe: attach analyses and
+// streams to it before recording starts, and read them after the run.
+func (t *Tracer) Pipeline() *pipeline.Pipeline {
+	t.eng.Flush()
+	return t.pl
 }
 
 // Stats flushes buffered accesses and returns cumulative instrumentation
@@ -103,7 +100,7 @@ func (t *Tracer) Stats() Stats {
 		Reads:        c.Reads,
 		Writes:       c.Writes,
 		ReadWrites:   c.ReadWrites,
-		Untracked:    t.sink.Untracked(),
+		Untracked:    t.pl.Untracked(),
 		Allocs:       t.allocs.Load(),
 		Frees:        t.frees.Load(),
 		TransfersH2D: t.h2d.Load(),
@@ -143,13 +140,7 @@ func (t *Tracer) TraceAlloc(a *memsim.Alloc) {
 	t.allocs.Add(1)
 	var err error
 	t.eng.Locked(func() {
-		_, err = t.sink.Table().Insert(a, allocFnName(a.Kind))
-		if err != nil {
-			return
-		}
-		for _, ss := range t.streams {
-			ss.Alloc(wire.AllocInfo{ID: a.ID, Base: a.Base, Size: a.Size, Kind: a.Kind, Label: a.Label, Fn: allocFnName(a.Kind)})
-		}
+		err = t.pl.Alloc(wire.AllocInfo{ID: a.ID, Base: a.Base, Size: a.Size, Kind: a.Kind, Label: a.Label, Fn: allocFnName(a.Kind)})
 	})
 	if err != nil {
 		// An overlap means the simulated allocator handed out overlapping
@@ -165,12 +156,7 @@ func (t *Tracer) TraceAlloc(a *memsim.Alloc) {
 func (t *Tracer) TraceFree(a *memsim.Alloc) {
 	t.frees.Add(1)
 	t.eng.Flush()
-	t.eng.Locked(func() {
-		t.sink.Table().MarkFreed(a.ID)
-		for _, ss := range t.streams {
-			ss.Free(a.ID)
-		}
-	})
+	t.eng.Locked(func() { t.pl.Free(a.ID) })
 }
 
 // TraceAccess implements cuda.Tracer; it is the runtime body of traceR,
@@ -204,14 +190,7 @@ func (t *Tracer) TraceTransfer(a *memsim.Alloc, dir um.TransferDir, off, n int64
 	} else {
 		t.d2h.Add(1)
 	}
-	t.eng.Locked(func() {
-		if !t.sink.Table().Transfer(a.ID, dir == um.HostToDevice, off, n) {
-			t.sink.AddUntracked(1)
-		}
-		for _, ss := range t.streams {
-			ss.Transfer(a.ID, byte(dir), off, n)
-		}
-	})
+	t.eng.Locked(func() { t.pl.Transfer(wire.TransferInfo{ID: a.ID, Dir: byte(dir), Off: off, N: n}) })
 }
 
 // EnablePatterns attaches an access-pattern classifier (pattern.Sink)
@@ -221,32 +200,24 @@ func (t *Tracer) TraceTransfer(a *memsim.Alloc, dir um.TransferDir, off, n int64
 // While the sink is attached, every kernel launch flushes the access
 // buffers and opens a new attribution span; without it the launch
 // wrapper stays a counter increment, so existing flush schedules (and
-// the golden reports derived from them) are unaffected.
+// the golden reports derived from them) are unaffected. Call before
+// recording starts.
 func (t *Tracer) EnablePatterns(now func() machine.Duration) *pattern.Sink {
-	var ps *pattern.Sink
-	t.eng.Locked(func() {
-		ps = pattern.NewSink(t.sink.Table())
-		ps.SetClock(now)
-	})
-	t.eng.AddSink(ps)
-	t.patterns = ps
-	return ps
+	return t.Pipeline().EnablePatterns(now)
 }
 
 // Patterns returns the attached pattern sink, or nil.
-func (t *Tracer) Patterns() *pattern.Sink { return t.patterns }
+func (t *Tracer) Patterns() *pattern.Sink { return t.pl.Patterns() }
 
 // EnableStream attaches a wire streaming sink: every drained batch,
 // allocation event, free, label, transfer, and kernel-launch span marker
 // is forwarded on the wire, so a consumer (cmd/xplagg, or the
 // -trace-budget replay) can rebuild the shadow table and run the same
-// analyses through a pipeline.Pipeline. Several sinks may be attached;
-// each sees the same frames. Call before recording starts; the caller
-// owns Close on the sink after the final flush.
-func (t *Tracer) EnableStream(ss *wire.StreamSink) {
-	t.eng.AddSink(ss)
-	t.streams = append(t.streams, ss)
-}
+// analyses through its own pipeline.Pipeline. Several sinks may be
+// attached; each sees the same frames. Like a pattern sink, a stream
+// makes kernel launches drain points. Call before recording starts; the
+// caller owns Close on the sink after the final flush.
+func (t *Tracer) EnableStream(ss *wire.StreamSink) { t.Pipeline().AddStream(ss) }
 
 // TraceKernelLaunch implements cuda.Tracer (the kernel-launch wrapper of
 // Table I). With a pattern or stream sink attached the launch is also a
@@ -254,31 +225,16 @@ func (t *Tracer) EnableStream(ss *wire.StreamSink) {
 // new span opens under the engine lock.
 func (t *Tracer) TraceKernelLaunch(name string) {
 	t.kernels.Add(1)
-	ps := t.patterns
-	if ps == nil && len(t.streams) == 0 {
+	if !t.pl.WantsSpans() {
 		return
 	}
 	t.eng.Flush()
-	t.eng.Locked(func() {
-		if ps != nil {
-			ps.BeginSpan(name)
-		}
-		for _, ss := range t.streams {
-			ss.Span(name)
-		}
-	})
+	t.eng.Locked(func() { t.pl.Span(name) })
 }
 
 // Name attaches a user-level label to the allocation's SMT entry — the
 // runtime effect of the XplAllocData argument expansion of
 // #pragma xpl diagnostic (§III-B).
 func (t *Tracer) Name(a *memsim.Alloc, label string) {
-	t.eng.Locked(func() {
-		if e := t.sink.Table().FindByID(a.ID); e != nil {
-			e.Label = label
-		}
-		for _, ss := range t.streams {
-			ss.Label(a.ID, label)
-		}
-	})
+	t.eng.Locked(func() { t.pl.Label(a.ID, label) })
 }

@@ -68,8 +68,9 @@ type Config struct {
 // one lock.
 //
 // The sink also carries the shadow-table life-cycle frames (Alloc, Free,
-// Label, Transfer) a remote consumer needs to rebuild per-allocation
-// state; front ends forward their interception points to these.
+// Label, Transfer) and the span markers a remote consumer needs to
+// rebuild per-allocation state. The pipeline.Pipeline the sink is
+// attached to calls them: it forwards every event after applying it.
 type StreamSink struct {
 	policy     Policy
 	queueBytes int
@@ -156,15 +157,21 @@ func (s *StreamSink) stampClock() {
 
 // Apply implements record.Sink: the batch is encoded onto the open
 // segment, which is cut and queued once it reaches the target size.
+// After Close nothing would write the segment, so the batch's records
+// count as dropped without being encoded.
 func (s *StreamSink) Apply(batch []shadow.Access, _ *record.Cursor) {
 	if len(batch) == 0 {
 		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.stampClock()
 	s.batches++
 	s.records += int64(len(batch))
+	if s.closed {
+		s.dropRecs += int64(len(batch))
+		return
+	}
+	s.stampClock()
 	// Chunk at the frame-record limit with a cut check between chunks, so
 	// the open segment can never outgrow MaxSegmentBytes no matter how
 	// large one drained batch is.
@@ -363,8 +370,10 @@ func (s *StreamSink) Counts() (batches, records int64) {
 }
 
 // Dropped returns the exact loss totals of the drop policy (all zero
-// under Block unless the writer died): whole segments dropped, the
-// access records they carried, and their encoded bytes.
+// under Block unless the writer died or the sink was closed): the access
+// records lost, and the segments and bytes of the encoded segments that
+// carried them. Batches applied after Close are not encoded, so they add
+// records only.
 func (s *StreamSink) Dropped() (segments, records, bytes int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -266,6 +266,28 @@ func TestApplyAfterClose(t *testing.T) {
 	}
 }
 
+// TestApplyAfterCloseEncodesNothing: a closed sink counts an applied
+// batch's records as dropped and returns without encoding the batch into
+// a segment nothing would write.
+func TestApplyAfterCloseEncodesNothing(t *testing.T) {
+	ss, err := wire.NewStreamSink(io.Discard, wire.Config{Hello: wire.Hello{Tenant: "soak", Process: "closed"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ss.Close(); err != nil {
+		t.Fatal(err)
+	}
+	batch := soakBatch(0, 0, 4096)
+	const runs = 10
+	if allocs := testing.AllocsPerRun(runs, func() { ss.Apply(batch, nil) }); allocs != 0 {
+		t.Errorf("Apply after Close allocated %v times per batch, want 0", allocs)
+	}
+	// AllocsPerRun makes one warm-up call besides the measured ones.
+	if segs, recs, bytes := ss.Dropped(); segs != 0 || recs != (runs+1)*4096 || bytes != 0 {
+		t.Errorf("dropped %d segments, %d records, %d bytes; want no segment or byte and %d records", segs, recs, bytes, (runs+1)*4096)
+	}
+}
+
 type failingWriter struct {
 	n         int
 	failAfter int

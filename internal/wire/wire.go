@@ -1,8 +1,10 @@
 // Package wire is XPlacer's versioned binary trace format: the one log
-// format every trace consumer reads. The same stream goes to a trace
-// file for later ingest, over a socket to a long-running aggregator
-// (cmd/xplagg), or to the temporary log `xplacer -trace-budget` replays;
-// each consumer decodes it into a pipeline.Pipeline.
+// format every trace consumer reads. A traced program's pipeline.Pipeline
+// writes it through the StreamSinks attached to it, and the same stream
+// goes to a trace file for later ingest, over a socket to a long-running
+// aggregator (cmd/xplagg), or to the temporary log `xplacer
+// -trace-budget` replays; each consumer decodes it into a pipeline of
+// its own.
 //
 // The format has three layers:
 //

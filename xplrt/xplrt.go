@@ -30,7 +30,10 @@
 // Trace calls do not touch the shadow table directly: the package is a
 // front end over the shared recording engine (internal/record), which
 // owns the per-P slot buffers, the stamp-ordered drain, and the
-// flush-ordering guarantees (see the package record documentation).
+// flush-ordering guarantees (see the package record documentation). The
+// engine drains into the runtime's pipeline.Pipeline, the analysis state
+// that Register, Release and the diagnostics' relabels also go through,
+// and that forwards all of them to the streams EnableStream attaches.
 // Scope-less TraceR/W/RW calls record through the engine's slot path;
 // ScopeR/W/RW calls append to the scope's private engine Buffer with no
 // locking at all. Both paths coalesce an access that contiguously
@@ -54,8 +57,8 @@ import (
 	"xplacer/internal/machine"
 	"xplacer/internal/memsim"
 	"xplacer/internal/pattern"
+	"xplacer/internal/pipeline"
 	"xplacer/internal/record"
-	"xplacer/internal/shadow"
 	"xplacer/internal/wire"
 )
 
@@ -68,31 +71,25 @@ const (
 	GPU = machine.GPU
 )
 
-// runtime is the process-global analysis state: the recording engine, its
-// canonical table sink, and the detector options. The engine lock is
+// runtime is the process-global analysis state: the recording engine, the
+// pipeline it drains into, and the detector options. The engine lock is
 // taken only at batch boundaries (drains, registration, diagnostics),
-// never per access; opt is guarded by it too.
+// never per access; opt and nextAllocID are guarded by it too.
 type runtime struct {
-	sink *record.TableSink
-	eng  *record.Engine
-	opt  detect.Options
+	pl  *pipeline.Pipeline
+	eng *record.Engine
+	opt detect.Options
 
-	// streams are the attached wire sinks (EnableStream). Each receives
-	// every drained batch plus the Register/Release life-cycle events, so
-	// an aggregator can rebuild the allocation table remotely. nextAllocID
-	// numbers registrations for the wire — the local table keeps real
-	// addresses, but free frames reference allocations by id.
-	streams     []*wire.StreamSink
+	// nextAllocID numbers registrations. The table keeps real addresses,
+	// but frees, relabels, pattern digests and stream frames name an
+	// allocation by id. It survives Reset, so a stream never sees an id
+	// twice.
 	nextAllocID int
-
-	// analysis are the sinks EnableHeatmap and EnablePatterns attached
-	// over the current table; Reset detaches them with the table.
-	analysis []record.Sink
 }
 
 func newRuntime() *runtime {
-	sink := record.NewTableSink(shadow.NewTable())
-	return &runtime{sink: sink, eng: record.NewEngine(sink), opt: detect.DefaultOptions()}
+	pl := pipeline.New()
+	return &runtime{pl: pl, eng: record.NewEngine(pl), opt: detect.DefaultOptions()}
 }
 
 var rt = newRuntime()
@@ -113,15 +110,10 @@ func recordAccess(dev Device, addr uintptr, size int64, kind memsim.AccessKind) 
 // by AddSink and EnableStream stay attached.
 func Reset() {
 	rt.eng.Reset()
-	var detach []record.Sink
 	rt.eng.Locked(func() {
-		rt.sink.SetTable(shadow.NewTable())
+		rt.pl.Reset()
 		rt.opt = detect.DefaultOptions()
-		detach, rt.analysis = rt.analysis, nil
 	})
-	for _, s := range detach {
-		rt.eng.RemoveSink(s)
-	}
 	defaultDev.Store(uint32(CPU))
 }
 
@@ -145,11 +137,8 @@ func AddSink(s record.Sink) { rt.eng.AddSink(s) }
 // sink, so enable it again after resetting.
 func EnableHeatmap() *record.HeatmapSink {
 	var hm *record.HeatmapSink
-	rt.eng.Locked(func() {
-		hm = record.NewHeatmapSink(rt.sink.Table())
-		rt.analysis = append(rt.analysis, hm)
-	})
-	rt.eng.AddSink(hm)
+	rt.eng.Flush()
+	rt.eng.Locked(func() { hm = rt.pl.EnableHeatmap(0, nil) })
 	return hm
 }
 
@@ -162,24 +151,21 @@ func EnableHeatmap() *record.HeatmapSink {
 // detaches the sink.
 func EnablePatterns() *pattern.Sink {
 	var ps *pattern.Sink
-	rt.eng.Locked(func() {
-		ps = pattern.NewSink(rt.sink.Table())
-		rt.analysis = append(rt.analysis, ps)
-	})
-	rt.eng.AddSink(ps)
+	rt.eng.Flush()
+	rt.eng.Locked(func() { ps = rt.pl.EnablePatterns(nil) })
 	return ps
 }
 
 // EnableStream attaches an out-of-process streaming sink: drained access
-// batches and Register/Release events are forwarded on the wire so an
-// aggregator (cmd/xplagg) can mirror the allocation table and analyses.
-// Real heap addresses go on the wire as-is — the remote table is keyed by
-// the same addresses the local one is. Several sinks may be attached;
-// each sees the same frames. The caller owns Close on the sink (after a
-// final Flush); a later Reset does not detach it.
+// batches, Register/Release events and diagnostic relabels are forwarded
+// on the wire so an aggregator (cmd/xplagg) can mirror the allocation
+// table and analyses. Real heap addresses go on the wire as-is — the
+// remote table is keyed by the same addresses the local one is. Several
+// sinks may be attached; each sees the same frames. The caller owns Close
+// on the sink (after a final Flush); a later Reset does not detach it.
 func EnableStream(ss *wire.StreamSink) {
-	rt.eng.Locked(func() { rt.streams = append(rt.streams, ss) })
-	rt.eng.AddSink(ss)
+	rt.eng.Flush()
+	rt.eng.Locked(func() { rt.pl.AddStream(ss) })
 }
 
 // Untracked reports how many recorded accesses hit no registered
@@ -187,7 +173,7 @@ func EnableStream(ss *wire.StreamSink) {
 // Reset.
 func Untracked() int64 {
 	rt.eng.Flush()
-	return rt.sink.Untracked()
+	return rt.pl.Untracked()
 }
 
 // SetOptions adjusts the anti-pattern detector thresholds.
@@ -379,17 +365,11 @@ func Register(v any, label string) {
 		// Registered Go heap memory is accessible from both execution roles,
 		// like CUDA managed memory — which also makes the alternating-access
 		// detector apply to it.
-		e, err := rt.sink.Table().InsertRange(memsim.Addr(base), size, label, memsim.Managed, "xplrt.Register")
-		if err != nil || len(rt.streams) == 0 {
-			return
-		}
-		e.AllocID = rt.nextAllocID
-		rt.nextAllocID++
-		for _, ss := range rt.streams {
-			ss.Alloc(wire.AllocInfo{
-				ID: e.AllocID, Base: e.Base, Size: size,
-				Kind: memsim.Managed, Label: label, Fn: "xplrt.Register",
-			})
+		if rt.pl.Alloc(wire.AllocInfo{
+			ID: rt.nextAllocID, Base: memsim.Addr(base), Size: size,
+			Kind: memsim.Managed, Label: label, Fn: "xplrt.Register",
+		}) == nil {
+			rt.nextAllocID++
 		}
 	})
 }
@@ -405,13 +385,8 @@ func Release(v any) {
 	}
 	rt.eng.Flush()
 	rt.eng.Locked(func() {
-		if e := rt.sink.Table().Find(memsim.Addr(base)); e != nil {
-			e.Freed = true
-			if e.AllocID >= 0 {
-				for _, ss := range rt.streams {
-					ss.Free(e.AllocID)
-				}
-			}
+		if e := rt.pl.Table().Find(memsim.Addr(base)); e != nil {
+			rt.pl.Free(e.AllocID)
 		}
 	})
 }
@@ -550,12 +525,12 @@ func expand(v reflect.Value, name string, seen map[reflect.Type]bool, out *[]All
 func TracePrint(w io.Writer, data ...AllocData) {
 	rt.eng.Flush()
 	rt.eng.Locked(func() {
-		table := rt.sink.Table()
+		table := rt.pl.Table()
 		for _, d := range data {
 			// FindAny: freed-but-retained entries are still part of this
 			// interval's report and deserve their user-facing name.
 			if e := table.FindAny(memsim.Addr(d.Base)); e != nil {
-				e.Label = d.Name
+				rt.pl.Label(e.AllocID, d.Name)
 			}
 		}
 		r := diag.Analyze(table.Entries(), "", rt.opt)
@@ -572,7 +547,7 @@ func Report() diag.Report {
 	rt.eng.Flush()
 	var r diag.Report
 	rt.eng.Locked(func() {
-		table := rt.sink.Table()
+		table := rt.pl.Table()
 		r = diag.Analyze(table.Entries(), "", rt.opt)
 		table.Reset()
 	})
@@ -591,7 +566,7 @@ func ShadowOf(v any) []byte {
 	rt.eng.Flush()
 	var out []byte
 	rt.eng.Locked(func() {
-		if e := rt.sink.Table().FindAny(memsim.Addr(base)); e != nil {
+		if e := rt.pl.Table().FindAny(memsim.Addr(base)); e != nil {
 			out = append([]byte(nil), e.Shadow...)
 		}
 	})
@@ -601,7 +576,7 @@ func ShadowOf(v any) []byte {
 // Allocations reports the number of traced allocations (for tests).
 func Allocations() int {
 	var n int
-	rt.eng.Locked(func() { n = rt.sink.Table().Len() })
+	rt.eng.Locked(func() { n = rt.pl.Table().Len() })
 	return n
 }
 

@@ -2,7 +2,10 @@ package xplrt
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
+	"io"
+	"math/rand"
 	"reflect"
 	"strings"
 	"sync"
@@ -237,7 +240,7 @@ func TestFlushMakesBufferedAccessesVisible(t *testing.T) {
 	Flush()
 	var recorded bool
 	rt.eng.Locked(func() {
-		e := rt.sink.Table().Find(memsim.Addr(uintptr(unsafe.Pointer(&xs[0]))))
+		e := rt.pl.Table().Find(memsim.Addr(uintptr(unsafe.Pointer(&xs[0]))))
 		recorded = e != nil && e.Shadow[0]&shadow.CPUWrote != 0
 	})
 	if !recorded {
@@ -317,7 +320,7 @@ func shadowBytesOf(t *testing.T) [][]byte {
 	Flush()
 	var out [][]byte
 	rt.eng.Locked(func() {
-		for _, e := range rt.sink.Table().Entries() {
+		for _, e := range rt.pl.Table().Entries() {
 			out = append(out, append([]byte(nil), e.Shadow...))
 		}
 	})
@@ -453,17 +456,7 @@ func TestEnableStreamTwice(t *testing.T) {
 	Flush()
 	var reports [2]diag.Report
 	for i, ss := range sinks {
-		if err := ss.Close(); err != nil {
-			t.Fatal(err)
-		}
-		pl := pipeline.New(machine.IntelPascal(), 0)
-		err := wire.ReadStream(bytes.NewReader(bufs[i].Bytes()), wire.StreamHandler{
-			Hello: func(wire.Hello) (wire.Handler, error) { return pl.Handler(), nil },
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		reports[i] = pl.Report("")
+		reports[i] = replay(t, ss, &bufs[i])
 	}
 	for i, r := range reports {
 		if len(r.Allocs) != 1 || r.Allocs[0].Label != "xs" || !r.Allocs[0].Freed || r.Allocs[0].WriteC != 128 {
@@ -472,5 +465,110 @@ func TestEnableStreamTwice(t *testing.T) {
 	}
 	if !reflect.DeepEqual(reports[0], reports[1]) {
 		t.Errorf("replayed reports differ:\n%+v\n%+v", reports[0], reports[1])
+	}
+}
+
+// replay closes ss, whose stream went to buf, and returns the report of
+// a pipeline the stream is replayed into.
+func replay(t *testing.T, ss *wire.StreamSink, buf *bytes.Buffer) diag.Report {
+	t.Helper()
+	if err := ss.Close(); err != nil {
+		t.Fatal(err)
+	}
+	pl := pipeline.New()
+	err := wire.ReadStream(bytes.NewReader(buf.Bytes()), wire.StreamHandler{
+		Hello: func(wire.Hello) (wire.Handler, error) { return pl.Handler(), nil },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pl.Report("", machine.IntelPascal())
+}
+
+// TestRelabelReachesStream: a diagnostic's relabel reaches an attached
+// stream, so the replayed report names the allocation as the local one
+// does.
+func TestRelabelReachesStream(t *testing.T) {
+	Reset()
+	t.Cleanup(func() { rt = newRuntime() })
+	var buf bytes.Buffer
+	ss, err := wire.NewStreamSink(&buf, wire.Config{Hello: wire.Hello{Tenant: "t", Process: "relabel"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	EnableStream(ss)
+	xs := Slice[float32](64, "xs")
+	write := func() {
+		for i := range xs {
+			*TraceW(&xs[i]) = 1
+		}
+	}
+	write()
+	TracePrint(io.Discard, ExpandAll(Arg(&xs[0], "renamed"))...)
+	write()
+	reports := map[string]diag.Report{"local": Report(), "replayed": replay(t, ss, &buf)}
+	for side, r := range reports {
+		if len(r.Allocs) != 1 || r.Allocs[0].Label != "renamed" {
+			t.Errorf("%s report lists %+v, want one allocation labeled renamed", side, r.Allocs)
+		}
+	}
+}
+
+// TestPatternDigestsPerAllocation: registrations made without a stream
+// attached still get ids of their own. diag.SummarizePatterns keys each
+// allocation's digest by id, so two allocations sharing one would both
+// report the class of whichever stream the digest picked.
+func TestPatternDigestsPerAllocation(t *testing.T) {
+	Reset()
+	defer Reset()
+	seq := Slice[float64](4096, "seq")
+	rnd := Slice[float64](4096, "rnd")
+	ps := EnablePatterns()
+	OnDevice(GPU, func(s *DeviceScope) {
+		for i := range seq {
+			_ = *ScopeR(s, &seq[i])
+		}
+		r := rand.New(rand.NewSource(1))
+		for i := 0; i < 8192; i++ {
+			_ = *ScopeR(s, &rnd[r.Intn(len(rnd))])
+		}
+	})
+	r := Report()
+	r.Patterns = diag.SummarizePatterns(ps, machine.IntelPascal().CoalescePenaltyPct)
+	var b bytes.Buffer
+	if err := r.JSON(&b); err != nil {
+		t.Fatal(err)
+	}
+	var decoded struct {
+		Allocs []struct {
+			Label   string `json:"label"`
+			Pattern struct {
+				Class string `json:"class"`
+			} `json:"pattern"`
+		} `json:"allocations"`
+		Patterns struct {
+			Streams []struct {
+				Alloc string `json:"alloc"`
+				Class string `json:"class"`
+			} `json:"streams"`
+		} `json:"patterns"`
+	}
+	if err := json.Unmarshal(b.Bytes(), &decoded); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{"seq": "sequential", "rnd": "random"}
+	got := map[string]string{}
+	for _, a := range decoded.Allocs {
+		got[a.Label] = a.Pattern.Class
+	}
+	rows := map[string]string{}
+	for _, row := range decoded.Patterns.Streams {
+		rows[row.Alloc] = row.Class
+	}
+	if !reflect.DeepEqual(rows, want) {
+		t.Fatalf("stream classes %v, want %v", rows, want)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("per-allocation pattern digests %v, want %v", got, want)
 	}
 }
