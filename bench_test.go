@@ -462,11 +462,11 @@ func BenchmarkDiagAnalyze(b *testing.B) {
 // sweeps coalesced into long RLE records: the bulk shadow path), Scalar
 // (random indices, one record per element: the per-word path), and
 // Gather (gather-local, scalar-heavy with short local runs) — each at
-// GOMAXPROCS 1, 2, and 4 so the per-proc worker scaling is measured
-// directly. The headline metric is wire access records applied per
-// second; the CI floor (Scalar/Cores1) is records_per_sec >= 10M, and
-// the multi-core acceptance bar is >= 3x Cores1 at Cores4 on a 4-core
-// machine.
+// GOMAXPROCS 1, 2, and 4. The headline metric is wire access records
+// applied per second; the CI floor (Scalar/Cores1) is records_per_sec
+// >= 10M. The Cores2 and Cores4 rows are reported, not gated: a
+// GOMAXPROCS above the machine's core count measures no scaling, so no
+// ratio between the rows is claimed from a machine with fewer cores.
 func BenchmarkWireIngest(b *testing.B) {
 	const (
 		nStreams = 8

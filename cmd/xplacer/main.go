@@ -25,7 +25,6 @@
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
 	"io"
@@ -43,7 +42,6 @@ import (
 	"xplacer/internal/detect"
 	"xplacer/internal/diag"
 	"xplacer/internal/machine"
-	"xplacer/internal/pipeline"
 	"xplacer/internal/timeline"
 	"xplacer/internal/whatif"
 	"xplacer/internal/wire"
@@ -81,7 +79,6 @@ func main() {
 		adaptWin  = flag.Duration("adapt-window", 2*time.Millisecond, "with -adapt: minimum simulated time per capture window")
 		adaptThr  = flag.Float64("adapt-threshold", adapt.DefaultMinGainPct, "with -adapt: minimum predicted window gain (percent) before a placement counts toward confirmation")
 		hmEpoch   = flag.Duration("heatmap-epoch", 0, "with -heatmap: close a heat-map epoch every interval of simulated time (e.g. 100us)")
-		budget    = flag.Int("trace-budget", 0, "with -heatmap/-patterns: stream the trace to a temporary wire log through a queue of at most this many bytes (raised, like -stream-budget, to two segments: about 320 KiB) and replay the log through a fresh analysis pipeline for the final report; the replay keeps its own shadow table, 1 byte per traced word next to the heat map's 8 (0: unbounded, analyze live)")
 		seed      = flag.Int64("seed", 1, "input seed")
 		stream    = flag.String("stream", "", "stream the trace out-of-process to an xplagg aggregator: host:port dials TCP, file:PATH (or a plain path) writes a trace file for later ingest")
 		streamTen = flag.String("stream-tenant", "default", "with -stream: tenant id in the stream handshake")
@@ -125,46 +122,15 @@ func main() {
 			Workers:    *wiWorkers,
 		})
 	}
-	// pl is the run's analysis pipeline: the tracer's, or under
-	// -trace-budget the one the trace log is replayed into. enable
-	// attaches the analyses -heatmap and -patterns ask for, sampling
-	// clock: the simulated clock live, the stream clock in the replay.
-	// Pattern span start times then line up with the exported timeline.
+	// The analyses -heatmap and -patterns ask for sample the simulated
+	// clock, so pattern span start times line up with the exported
+	// timeline.
 	pl := s.Tracer.Pipeline()
-	epoch := machine.Duration(hmEpoch.Nanoseconds()) * machine.Nanosecond
-	enable := func(pl *pipeline.Pipeline, clock func() machine.Duration) {
-		if *heatmap {
-			pl.EnableHeatmap(epoch, clock)
-		}
-		if *patterns {
-			pl.EnablePatterns(clock)
-		}
+	if *heatmap {
+		pl.EnableHeatmap(machine.Duration(hmEpoch.Nanoseconds())*machine.Nanosecond, s.Ctx.Now)
 	}
-	var logFile *os.File
-	var logSink *wire.StreamSink
-	if *budget > 0 && (*heatmap || *patterns) {
-		// Deferred-analysis mode: the heat map and classifier are not
-		// built during the run. The trace goes out as an ordinary wire
-		// stream to a temporary log through a queue capped at
-		// -trace-budget bytes, and a fresh pipeline replays the log after
-		// the run.
-		logFile, err = os.CreateTemp("", "xplacer-trace-*.xplt")
-		if err != nil {
-			fatal(err)
-		}
-		defer os.Remove(logFile.Name())
-		defer logFile.Close()
-		logSink, err = wire.NewStreamSink(logFile, wire.Config{
-			Hello:      wire.Hello{Process: *app, Platform: plat.Name},
-			QueueBytes: *budget,
-			Clock:      s.Ctx.Now,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		s.Tracer.EnableStream(logSink)
-	} else {
-		enable(pl, s.Ctx.Now)
+	if *patterns {
+		pl.EnablePatterns(s.Ctx.Now)
 	}
 
 	var ss *wire.StreamSink
@@ -306,18 +272,6 @@ func main() {
 		}
 	}
 
-	if logSink != nil {
-		// Replay the log before the final diagnostic. The pipeline's own
-		// table sees the alloc and free frames in order, so every access
-		// resolves the way it did for the live table.
-		s.Tracer.Flush()
-		pl = pipeline.New()
-		enable(pl, pl.Now)
-		if err := replayLog(logSink, logFile, pl); err != nil {
-			fatal(fmt.Errorf("trace log: %w", err))
-		}
-	}
-
 	// Access maps before the final (resetting) diagnostic.
 	if *maps != "" {
 		printed := false
@@ -423,24 +377,6 @@ func main() {
 			os.Exit(2)
 		}
 	}
-}
-
-// replayLog closes the -trace-budget log's sink and replays the log
-// into pl. A write error or any dropped segment is fatal: a short log
-// would silently yield a different report.
-func replayLog(ss *wire.StreamSink, f *os.File, pl *pipeline.Pipeline) error {
-	if err := ss.Close(); err != nil {
-		return err
-	}
-	if segs, recs, _ := ss.Dropped(); segs > 0 {
-		return fmt.Errorf("dropped %d segment(s): %d records", segs, recs)
-	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return err
-	}
-	return wire.ReadStream(bufio.NewReader(f), wire.StreamHandler{
-		Hello: func(wire.Hello) (wire.Handler, error) { return pl.Handler(), nil },
-	})
 }
 
 func fatal(err error) {

@@ -17,7 +17,10 @@
 //	/tenants    known (tenant, process) pairs and ingest totals (JSON)
 //	/snapshot   ?tenant=T&process=P — diag.Report JSON, the same schema
 //	            `xplacer -json` emits; at most -snapshot-stale old
-//	            (&fresh=1 forces an exact snapshot)
+//	            (&fresh=1 forces an exact snapshot). A finished stream's
+//	            snapshot is the report of its last diagnostic point;
+//	            concurrent streams under one (tenant, process) end each
+//	            other's intervals
 //	/perfetto   ?tenant=T&process=P — kernel spans as Chrome trace JSON
 //	/metrics    Prometheus text-format counters (xplagg_*), including
 //	            per-proc apply-queue depth and ingest stalls

@@ -5,7 +5,10 @@
 // process): the shadow table, heat map, and pattern classifier an
 // in-process run would use, driven by the decoded frames. Snapshots are
 // diag.Report JSON, byte-compatible with `xplacer -json`;
-// internal/goldenreport pins the equivalence.
+// internal/goldenreport pins the equivalence. The snapshot of a
+// finished stream is the report of its last diagnostic point
+// (pipeline.Handler); concurrent streams under one (tenant, process)
+// key end each other's intervals.
 //
 // # Concurrency model
 //
@@ -251,6 +254,8 @@ func (p *Proc) apply(it *applyItem) {
 		p.h.Label(it.id, it.name)
 	case wire.FrameTransfer:
 		p.h.Transfer(it.tr)
+	case wire.FrameDiagnostic:
+		p.h.Diagnostic(it.name)
 	case itemSnapshot:
 		s := p.publish()
 		if it.snap != nil {
@@ -517,6 +522,12 @@ func (g *Aggregator) streamHandler(p *Proc) wire.Handler {
 			it := g.item()
 			it.kind = wire.FrameTransfer
 			it.tr = tr
+			p.enqueue(it)
+		},
+		Diagnostic: func(title string) {
+			it := g.item()
+			it.kind = wire.FrameDiagnostic
+			it.name = title
 			p.enqueue(it)
 		},
 	}

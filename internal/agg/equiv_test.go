@@ -5,19 +5,20 @@ import (
 	"testing"
 
 	"xplacer/internal/agg"
+	"xplacer/internal/apps/lulesh"
 	"xplacer/internal/apps/rodinia"
 	"xplacer/internal/apps/sw"
 	"xplacer/internal/core"
-	"xplacer/internal/detect"
 	"xplacer/internal/diag"
 	"xplacer/internal/machine"
-	"xplacer/internal/record"
+	"xplacer/internal/pipeline"
 	"xplacer/internal/wire"
 )
 
 // apps the equivalence is pinned over: simulated-tracer programs whose
 // memsim addresses are deterministic per run, so two separate sessions
-// trace identical streams.
+// trace identical streams. The -diag-every cases free temporaries and
+// reset the table at mid-run diagnostics.
 var equivApps = []struct {
 	name string
 	run  func(t *testing.T, s *core.Session)
@@ -32,12 +33,43 @@ var equivApps = []struct {
 			t.Fatal(err)
 		}
 	}},
+	{"lulesh-diag-every", func(t *testing.T, s *core.Session) {
+		if _, err := lulesh.Run(s, lulesh.Config{Size: 4, Timesteps: 4, DiagEvery: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}},
+	{"pathfinder-diag-every", func(t *testing.T, s *core.Session) {
+		if _, err := rodinia.RunPathfinder(s, rodinia.PathfinderConfig{Cols: 64, Rows: 41, Pyramid: 10, Seed: 1, DiagEvery: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}},
 }
 
-// inProcessJSON traces the app with live heat-map and pattern sinks and
-// assembles the report the way the aggregator does (summaries, findings,
-// heat map, patterns; no timeline attribution).
-func inProcessJSON(t *testing.T, name string, run func(*testing.T, *core.Session)) []byte {
+// withoutTimeline renders r as JSON without what a trace cannot carry: the
+// title and the kernel attribution, which needs the client's timeline.
+func withoutTimeline(t *testing.T, r diag.Report, title string) []byte {
+	t.Helper()
+	r.Title = title
+	r.Allocs = append([]diag.AllocSummary(nil), r.Allocs...)
+	for i := range r.Allocs {
+		r.Allocs[i].Kernels = nil
+	}
+	r.Findings = append(r.Findings[:0:0], r.Findings...)
+	for i := range r.Findings {
+		r.Findings[i].Kernels = nil
+	}
+	var buf bytes.Buffer
+	if err := r.JSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// inProcess runs the app the way cmd/xplacer does: heat map and
+// classifier enabled on the tracer's pipeline, an end-of-run diagnostic,
+// then Pipeline.Summarize. It returns every diagnostic's report and the
+// final one as the aggregator would title it.
+func inProcess(t *testing.T, name string, run func(*testing.T, *core.Session)) (reports []diag.Report, final []byte) {
 	t.Helper()
 	plat, err := machine.ByName("Intel+Pascal")
 	if err != nil {
@@ -47,33 +79,21 @@ func inProcessJSON(t *testing.T, name string, run func(*testing.T, *core.Session
 	if err != nil {
 		t.Fatal(err)
 	}
-	hm := record.NewHeatmapSink(s.Tracer.Table())
-	s.Tracer.AddSink(hm)
-	ps := s.Tracer.EnablePatterns(s.Ctx.Now)
+	pl := s.Tracer.Pipeline()
+	pl.EnableHeatmap(0, s.Ctx.Now)
+	pl.EnablePatterns(s.Ctx.Now)
 
 	run(t, s)
-	s.Tracer.Flush()
-
-	table := s.Tracer.Table()
-	r := diag.Report{Title: "default/" + name}
-	for _, e := range table.Entries() {
-		r.Allocs = append(r.Allocs, diag.Summarize(e))
-	}
-	r.Findings = detect.Scan(table.Entries(), detect.DefaultOptions())
-	r.Heatmap = diag.SummarizeHeatmap(hm, 64)
-	r.Patterns = diag.SummarizePatterns(ps, plat.CoalescePenaltyPct)
-	r.Patterns.AnnotateHeatmap(r.Heatmap)
-
-	var buf bytes.Buffer
-	if err := r.JSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+	r := s.Diagnostic(nil, "end of run")
+	pl.Summarize(&r, plat)
+	return s.Reports(), withoutTimeline(t, r, "default/"+name)
 }
 
-// streamedJSON traces the same app through a wire.StreamSink, ingests
-// the captured stream with an Aggregator, and snapshots the proc.
-func streamedJSON(t *testing.T, name string, run func(*testing.T, *core.Session)) []byte {
+// streamed traces the same app through a wire.StreamSink. It replays
+// the captured stream through a reader pipeline, checking at each
+// diagnostic frame that the pipeline holds the report of that
+// diagnostic, and returns the aggregator's snapshot of the stream.
+func streamed(t *testing.T, name string, run func(*testing.T, *core.Session), reports []diag.Report) []byte {
 	t.Helper()
 	plat, err := machine.ByName("Intel+Pascal")
 	if err != nil {
@@ -94,12 +114,35 @@ func streamedJSON(t *testing.T, name string, run func(*testing.T, *core.Session)
 	s.Tracer.EnableStream(ss)
 
 	run(t, s)
-	s.Tracer.Flush()
+	s.Diagnostic(nil, "end of run")
 	if err := ss.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if segs, recs, _ := ss.Dropped(); segs != 0 {
 		t.Fatalf("block-policy stream dropped %d segments (%d records)", segs, recs)
+	}
+
+	reader := pipeline.New()
+	h := reader.Handler()
+	endInterval, seen := h.Diagnostic, 0
+	h.Diagnostic = func(title string) {
+		endInterval(title)
+		if seen < len(reports) {
+			want := withoutTimeline(t, reports[seen], title)
+			if got := withoutTimeline(t, reader.Report(title, plat), title); !bytes.Equal(got, want) {
+				t.Errorf("at diagnostic frame %d (%q) the reader holds\n%s\nwant the in-process report\n%s", seen, title, got, want)
+			}
+		}
+		seen++
+	}
+	err = wire.ReadStream(bytes.NewReader(captured.Bytes()), wire.StreamHandler{
+		Hello: func(wire.Hello) (wire.Handler, error) { return h, nil },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seen != len(reports) {
+		t.Fatalf("stream carries %d diagnostic frames, the run made %d diagnostics", seen, len(reports))
 	}
 
 	g := agg.New()
@@ -131,12 +174,13 @@ func streamedJSON(t *testing.T, name string, run func(*testing.T, *core.Session)
 
 // TestAggregationEquivalence pins the tentpole guarantee: an app traced
 // through StreamSink → Aggregator produces byte-identical report JSON to
-// the same app analyzed in-process.
+// the same app's last diagnostic in-process, and at every diagnostic
+// frame a stream reader holds the report of that diagnostic.
 func TestAggregationEquivalence(t *testing.T) {
 	for _, app := range equivApps {
 		t.Run(app.name, func(t *testing.T) {
-			want := inProcessJSON(t, app.name, app.run)
-			got := streamedJSON(t, app.name, app.run)
+			reports, want := inProcess(t, app.name, app.run)
+			got := streamed(t, app.name, app.run, reports)
 			if !bytes.Equal(want, got) {
 				t.Fatalf("aggregated report differs from in-process report\n--- in-process ---\n%s\n--- aggregated ---\n%s", want, got)
 			}

@@ -18,8 +18,10 @@ import (
 // /snapshot and /perfetto serve the proc's published snapshot — at most
 // the aggregator's snapshot max-age stale, exact when ingest is idle —
 // so they never block apply workers. Add &fresh=1 to force an exact
-// snapshot (waits for the apply queue to drain past the request).
-// /tenants and /metrics read atomic counters only.
+// snapshot (waits for the apply queue to drain past the request). A
+// finished stream's snapshot is the report of its last diagnostic point;
+// concurrent streams under one (tenant, process) end each other's
+// intervals. /tenants and /metrics read atomic counters only.
 func (g *Aggregator) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/tenants", g.serveTenants)

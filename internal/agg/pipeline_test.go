@@ -146,3 +146,51 @@ func TestBackpressureStallsConnection(t *testing.T) {
 	}
 	_ = rep
 }
+
+// TestDiagnosticFrameDropsFreedEntries pins the proc's interval rule
+// through the apply queue: after a diagnostic frame the snapshot is the
+// interval it ended (freed entry included, also past a clock frame),
+// and once any state-changing frame follows, no freed entry is left in
+// the proc's table.
+func TestDiagnosticFrameDropsFreedEntries(t *testing.T) {
+	var prefix []byte
+	prefix = wire.AppendAlloc(prefix, wire.AllocInfo{ID: 1, Base: 0x1000, Size: 64, Kind: memsim.Managed, Label: "a"})
+	prefix = wire.AppendAlloc(prefix, wire.AllocInfo{ID: 2, Base: 0x2000, Size: 64, Kind: memsim.Managed, Label: "tmp"})
+	prefix = wire.AppendBatch(prefix, []shadow.Access{{Dev: machine.GPU, Kind: memsim.Write, Size: 4, Addr: 0x2000}})
+	prefix = wire.AppendFree(prefix, 2)
+	prefix = wire.AppendDiagnostic(prefix, "step 1")
+	prefix = wire.AppendClock(prefix, 100)
+	next := map[string][]byte{
+		"batch":      wire.AppendBatch(nil, []shadow.Access{{Dev: machine.CPU, Kind: memsim.Read, Size: 4, Addr: 0x1000}}),
+		"alloc":      wire.AppendAlloc(nil, wire.AllocInfo{ID: 3, Base: 0x3000, Size: 64, Kind: memsim.Managed}),
+		"free":       wire.AppendFree(nil, 1),
+		"label":      wire.AppendLabel(nil, 1, "b"),
+		"transfer":   wire.AppendTransfer(nil, wire.TransferInfo{ID: 1, Dir: wire.HostToDevice, N: 64}),
+		"span":       wire.AppendSpan(nil, "k", 200),
+		"diagnostic": wire.AppendDiagnostic(nil, "step 2"),
+	}
+	for name, frame := range next {
+		t.Run(name, func(t *testing.T) {
+			g := New()
+			defer g.Close()
+			p := g.proc(wire.Hello{Tenant: "t", Process: name, Platform: "Intel+Pascal"})
+			fd := wire.NewFrameDecoder(nil, g.streamHandler(p))
+			fd.SetBatchPool(g.batches)
+			if err := fd.DecodePayload(prefix); err != nil {
+				t.Fatal(err)
+			}
+			if r := p.Report(); len(r.Allocs) != 2 || !r.Allocs[1].Freed || r.Allocs[1].WriteG != 1 {
+				t.Fatalf("snapshot after the diagnostic frame = %+v, want the ended interval", r.Allocs)
+			}
+			if err := fd.DecodePayload(frame); err != nil {
+				t.Fatal(err)
+			}
+			drainProc(p)
+			for _, e := range p.pl.Table().Entries() {
+				if e.Freed && e.AllocID == 2 {
+					t.Fatalf("freed entry %q survived a diagnostic frame and a %s frame", e.Label, name)
+				}
+			}
+		})
+	}
+}

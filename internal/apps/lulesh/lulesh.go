@@ -273,7 +273,7 @@ func Run(s *core.Session, cfg Config) (Result, error) {
 	}
 	for step := 0; step < cfg.Timesteps; step++ {
 		if cfg.ResetBefore > 0 && step+1 == cfg.ResetBefore && s.Tracer != nil {
-			s.Tracer.Table().Reset()
+			s.Tracer.Diagnostic("", s.Opt)
 		}
 		if err := sm.timestep(); err != nil {
 			return Result{}, err

@@ -179,7 +179,7 @@ func RunPathfinder(s *core.Session, cfg PathfinderConfig) (PathfinderResult, err
 				chunk = rows - row
 			}
 			if cfg.ResetBefore > 0 && res.Iterations+1 == cfg.ResetBefore && s.Tracer != nil {
-				s.Tracer.Table().Reset()
+				s.Tracer.Diagnostic("", s.Opt)
 			}
 			ctx.Launch(nil, fmt.Sprintf("pathfinder_%d", res.Iterations), kernel(wv, row, chunk))
 			res.Iterations++

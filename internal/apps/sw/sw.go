@@ -316,7 +316,7 @@ func Run(s *core.Session, cfg Config) (Result, error) {
 			continue
 		}
 		if cfg.ResetBefore > 0 && res.Iterations+1 == cfg.ResetBefore && s.Tracer != nil {
-			s.Tracer.Table().Reset()
+			s.Tracer.Diagnostic("", s.Opt)
 		}
 		d := d // capture for the kernel closure
 		ctx.LaunchSync(fmt.Sprintf("sw_wave_%d", d), func(e *cuda.Exec) {

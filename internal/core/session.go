@@ -123,12 +123,11 @@ func (s *Session) Diagnostic(w io.Writer, title string) diag.Report {
 		return diag.Report{Title: title}
 	}
 	s.Ctx.MarkDiagnostic(title)
-	r := diag.Analyze(s.Tracer.Table().Entries(), title, s.Opt)
+	r := s.Tracer.Diagnostic(title, s.Opt)
 	diag.Attribute(&r, s.Ctx.Timeline(), s.intervalStart, s.Ctx.Now())
 	if w != nil {
 		r.Text(w)
 	}
-	s.Tracer.Table().Reset()
 	s.reports = append(s.reports, r)
 	s.intervalStart = s.Ctx.Now()
 	return r

@@ -12,6 +12,7 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
+	"io/fs"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -40,6 +41,29 @@ func repoRoot(t *testing.T) string {
 			t.Fatal("go.mod not found above working directory")
 		}
 		dir = parent
+	}
+}
+
+// trackSources stats every Go source file of the module at root,
+// skipping perfbench/ (a module of its own) and dot directories. The
+// goldens shell out to `go run`, which the test cache cannot see; stats
+// made inside a test are logged, so an edit to any source reruns the
+// goldens instead of replaying a cached pass.
+func trackSources(t *testing.T, root string) {
+	t.Helper()
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && path != root && (d.Name() == "perfbench" || strings.HasPrefix(d.Name(), ".")):
+			return filepath.SkipDir
+		case !d.IsDir() && strings.HasSuffix(path, ".go"):
+			_, err = os.Stat(path)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -168,6 +192,7 @@ func diffHint(want, got string) string {
 // pins its full (normalized) stdout.
 func TestExampleGoldens(t *testing.T) {
 	root := repoRoot(t)
+	trackSources(t, root)
 	entries, err := os.ReadDir(filepath.Join(root, "examples"))
 	if err != nil {
 		t.Fatal(err)
@@ -193,6 +218,7 @@ func TestExampleGoldens(t *testing.T) {
 // what-if analysis embedded — for both validation benchmarks, so the
 // predictor's rankings are themselves regression-tested.
 func TestReportJSONGoldens(t *testing.T) {
+	trackSources(t, repoRoot(t))
 	cases := map[string][]string{
 		"report-pathfinder": {"run", "./cmd/xplacer", "-app", "pathfinder",
 			"-cols", "64", "-rows", "41", "-pyramid", "10", "-json", "-whatif"},
@@ -252,11 +278,16 @@ func TestReportJSONGoldens(t *testing.T) {
 // the /snapshot endpoint serves byte-identical JSON.
 func TestAggregatedReportGoldens(t *testing.T) {
 	root := repoRoot(t)
+	trackSources(t, root)
 	cases := map[string][]string{
 		"report-sw-aggregated": {"run", "./cmd/xplacer", "-app", "sw",
 			"-size", "24", "-heatmap", "-patterns"},
 		"report-pathfinder-aggregated": {"run", "./cmd/xplacer", "-app", "pathfinder",
 			"-cols", "64", "-rows", "41", "-pyramid", "10", "-heatmap", "-patterns"},
+		// Mid-run diagnostics free the per-timestep temporaries: the
+		// snapshot is the last diagnostic's interval, as in-process.
+		"report-lulesh-aggregated": {"run", "./cmd/xplacer", "-app", "lulesh",
+			"-size", "4", "-steps", "4", "-diag-every", "1", "-heatmap", "-patterns"},
 	}
 	names := make([]string, 0, len(cases))
 	for n := range cases {
@@ -297,72 +328,6 @@ func TestAggregatedReportGoldens(t *testing.T) {
 			if !bytes.Equal(got, want) {
 				t.Errorf("aggregated report drifted from %s (re-run with -update if intentional):\n%s",
 					golden, diffHint(string(want), string(got)))
-			}
-		})
-	}
-}
-
-// TestSpillBudgetMatchesUnbounded pins the bounded-memory guarantee's
-// other half: a run under a deliberately tiny -trace-budget, whose trace
-// goes to a budgeted wire log that a fresh pipeline replays, must produce
-// the exact same diagnostic JSON — heat map, pattern classes, findings,
-// what-if — as the unbounded live-sink run. Next to -stream, the budget
-// must not change the streamed trace file either.
-func TestSpillBudgetMatchesUnbounded(t *testing.T) {
-	root := repoRoot(t)
-	cli := filepath.Join(t.TempDir(), "xplacer")
-	build := exec.Command(goTool(t), "build", "-o", cli, "./cmd/xplacer")
-	build.Dir = root
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("build: %v\n%s", err, out)
-	}
-	cases := []struct {
-		name   string
-		args   []string
-		stream bool
-	}{
-		{"sw", []string{"-app", "sw", "-size", "24", "-whatif"}, false},
-		// Mid-run diagnostics drop the freed per-timestep temporaries from
-		// the live table before the run ends; the replay must still
-		// attribute their accesses.
-		{"lulesh-diag-every", []string{"-app", "lulesh", "-size", "4", "-steps", "4", "-diag-every", "1"}, false},
-		// Clock-rotated heat-map epochs close on the replayed stream clock.
-		{"sw-heatmap-epoch", []string{"-app", "sw", "-size", "24", "-heatmap-epoch", "50us"}, false},
-		{"sw-stream", []string{"-app", "sw", "-size", "24"}, true},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			dir := t.TempDir()
-			run := func(name string, extra ...string) (report, trace []byte) {
-				args := append([]string{"-json", "-patterns", "-heatmap"}, c.args...)
-				file := filepath.Join(dir, name+".xplt")
-				if c.stream {
-					args = append(args, "-stream", "file:"+file)
-				}
-				cmd := exec.Command(cli, append(args, extra...)...)
-				var stdout, stderr bytes.Buffer
-				cmd.Stdout = &stdout
-				cmd.Stderr = &stderr
-				if err := cmd.Run(); err != nil {
-					t.Fatalf("%v: %v\nstderr:\n%s", cmd.Args, err, stderr.String())
-				}
-				if c.stream {
-					var err error
-					if trace, err = os.ReadFile(file); err != nil {
-						t.Fatal(err)
-					}
-				}
-				return normalizeReport(t, stdout.Bytes()), trace
-			}
-			unbounded, unboundedTrace := run("unbounded")
-			budgeted, budgetedTrace := run("budgeted", "-trace-budget", "4096")
-			if !bytes.Equal(unbounded, budgeted) {
-				t.Errorf("budgeted report drifted from the unbounded run:\n%s",
-					diffHint(string(unbounded), string(budgeted)))
-			}
-			if !bytes.Equal(unboundedTrace, budgetedTrace) {
-				t.Errorf("-stream trace file changed under -trace-budget (%d bytes, unbounded %d)",
-					len(budgetedTrace), len(unboundedTrace))
 			}
 		})
 	}

@@ -302,7 +302,7 @@ func scopePragma(fset *token.FileSet, fd *ast.FuncDecl) (string, error) {
 			continue
 		}
 		fields := strings.Fields(strings.TrimPrefix(text, "xpl:scope"))
-		if len(fields) != 1 {
+		if len(fields) != 1 || !token.IsIdentifier(fields[0]) {
 			return "", fmt.Errorf("instr: %s: want //xpl:scope ident, got %q",
 				fset.Position(c.Pos()), c.Text)
 		}
@@ -321,7 +321,7 @@ func (r *rewriter) collectPragmas(f *ast.File) error {
 			switch {
 			case strings.HasPrefix(text, "xpl:replace"):
 				fields := strings.Fields(strings.TrimPrefix(text, "xpl:replace"))
-				if len(fields) != 2 {
+				if len(fields) != 2 || !isFuncName(fields[0]) || !isFuncName(fields[1]) {
 					return fmt.Errorf("instr: %s: want //xpl:replace old new, got %q",
 						r.fset.Position(c.Pos()), c.Text)
 				}
@@ -634,6 +634,13 @@ func (r *rewriter) rewriteCall(e *ast.CallExpr) {
 	for i := range e.Args {
 		e.Args[i] = r.expr(e.Args[i], load)
 	}
+}
+
+// isFuncName reports whether s is a function name //xpl:replace takes:
+// an identifier, or a dotted pkg.Fn.
+func isFuncName(s string) bool {
+	pkg, fn, dotted := strings.Cut(s, ".")
+	return token.IsIdentifier(pkg) && (!dotted || token.IsIdentifier(fn))
 }
 
 // replacementExpr builds the AST for a replacement function name, which

@@ -1,6 +1,7 @@
 package instr
 
 import (
+	"io/fs"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -185,6 +186,8 @@ var x int
 func TestBadPragmas(t *testing.T) {
 	cases := []string{
 		"package p\n//xpl:replace onlyone\nfunc f() {}\n",
+		"package p\n//xpl:replace f !\nfunc f() {}\n",
+		"package p\n//xpl:replace f a.b.c\nfunc f() {}\n",
 		"package p\nfunc f() {\n//xpl:diagnostic notacall\n}\n",
 	}
 	for _, src := range cases {
@@ -279,6 +282,9 @@ func TestBadScopePragma(t *testing.T) {
 	if _, err := File("x.go", []byte("package p\n\n//xpl:scope\nfunc f() {}\n"), Options{}); err == nil {
 		t.Error("//xpl:scope without an identifier accepted")
 	}
+	if _, err := File("x.go", []byte("package p\n\n//xpl:scope!\nfunc f() {}\n"), Options{}); err == nil {
+		t.Error("//xpl:scope with a non-identifier accepted")
+	}
 }
 
 // TestEndToEnd instruments a small program, compiles it against this
@@ -292,6 +298,7 @@ func TestEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	trackSources(t, repo)
 	src := `package main
 
 import "os"
@@ -400,6 +407,29 @@ func report(w io.Writer, args ...any) { _ = w }
 	}
 	if !strings.Contains(text, "[alternating-cpu-gpu-access] d->data") {
 		t.Errorf("expected an alternating finding on d->data:\n%s", text)
+	}
+}
+
+// trackSources stats every Go source file of the module at root,
+// skipping perfbench/ (a module of its own) and dot directories.
+// TestEndToEnd runs instrumented code against xplrt through `go run`,
+// which the test cache cannot see; stats made inside a test are logged,
+// so an edit to any source reruns it instead of replaying a cached pass.
+func trackSources(t *testing.T, root string) {
+	t.Helper()
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && path != root && (d.Name() == "perfbench" || strings.HasPrefix(d.Name(), ".")):
+			return filepath.SkipDir
+		case !d.IsDir() && strings.HasSuffix(path, ".go"):
+			_, err = os.Stat(path)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -2,16 +2,18 @@
 // (via record.TableSink), the optional heat map and access-pattern
 // classifier, and the wire streams the trace is forwarded to. Its
 // methods are the only code that applies a trace event (access batch,
-// kernel-launch span, alloc, free, label, transfer) to that state, and
-// each forwards the event to the streams after applying it.
+// kernel-launch span, alloc, free, label, transfer, diagnostic point) to
+// that state, and each forwards the event to the streams after applying
+// it.
 //
-// Every trace, live or replayed, has one Pipeline. The front ends
+// Every trace, live or streamed, has one Pipeline. The front ends
 // (trace.Tracer, xplrt) make theirs the recording engine's sink and call
-// it at their interception points, under the engine lock. The readers of
-// a wire stream — the fleet aggregator (internal/agg) and the
-// `xplacer -trace-budget` replay — drive theirs through Handler, which
-// also holds the checks only untrusted input needs. A Pipeline is not
-// goroutine-safe.
+// it at their interception points, under the engine lock. A reader of a
+// wire stream — the fleet aggregator (internal/agg) — drives its own
+// through Handler, which also holds the checks only untrusted input
+// needs and resets lazily: the report of a finished stream is the
+// report of its last diagnostic point, and concurrent streams into one
+// pipeline end each other's intervals. A Pipeline is not goroutine-safe.
 package pipeline
 
 import (
@@ -39,6 +41,9 @@ type Pipeline struct {
 	// now is the stream clock: the time of Handler's last span or clock
 	// frame.
 	now machine.Duration
+	// ended marks an interval a diagnostic point ended; settle resets
+	// the table.
+	ended bool
 }
 
 // New returns a pipeline over an empty shadow table, with no heat map,
@@ -148,28 +153,61 @@ func (p *Pipeline) Transfer(tr wire.TransferInfo) {
 	}
 }
 
+// Diagnostic is a diagnostic point (#pragma xpl diagnostic, §III-B): it
+// analyzes the interval, ends it and resets the table at once (freed
+// entries go, §III-C). The heat map and classifier keep counting.
+func (p *Pipeline) Diagnostic(title string, opt detect.Options) diag.Report {
+	r := diag.Analyze(p.Table().Entries(), title, opt)
+	p.end(title)
+	p.settle()
+	return r
+}
+
+// end ends the interval and forwards the diagnostic point; the table
+// resets at the next settle. An interval that ended earlier resets
+// first, so two diagnostic points in a row each end one.
+func (p *Pipeline) end(title string) {
+	p.settle()
+	p.ended = true
+	for _, ss := range p.streams {
+		ss.Diagnostic(title)
+	}
+}
+
+// settle applies the reset a diagnostic point deferred.
+func (p *Pipeline) settle() *Pipeline {
+	if p.ended {
+		p.Table().Reset()
+		p.ended = false
+	}
+	return p
+}
+
 // Handler returns the frame callbacks that drive the pipeline, for
-// wire.ReadStream; span and clock frames set Now. Oversized allocations
-// and overlaps (a client bug, or replayed address reuse) are skipped
-// rather than fatal: one misbehaving stream must not take its consumer
-// down. Batches are applied before the callback returns, so the decoder
-// may reuse them.
+// wire.ReadStream; span and clock frames set Now. A diagnostic frame
+// only ends the interval: the table resets before the next frame that is
+// not a clock frame. Oversized allocations and overlaps (a client bug,
+// or two streams under one key) are skipped rather than fatal: one
+// misbehaving stream must not take its consumer down. Batches are
+// applied before the callback returns, so the decoder may reuse them.
 func (p *Pipeline) Handler() wire.Handler {
 	return wire.Handler{
-		Batch: func(batch []shadow.Access) { p.Apply(batch, nil) },
+		Batch: func(batch []shadow.Access) { p.settle().Apply(batch, nil) },
 		Span: func(name string, at machine.Duration) {
+			p.settle()
 			p.now = at
 			p.Span(name)
 		},
 		Clock: func(at machine.Duration) { p.now = at },
 		Alloc: func(a wire.AllocInfo) {
 			if a.Size >= 0 && a.Size <= maxAllocBytes {
-				_ = p.Alloc(a)
+				_ = p.settle().Alloc(a)
 			}
 		},
-		Free:     p.Free,
-		Label:    p.Label,
-		Transfer: p.Transfer,
+		Free:       func(id int) { p.settle().Free(id) },
+		Label:      func(id int, label string) { p.settle().Label(id, label) },
+		Transfer:   func(tr wire.TransferInfo) { p.settle().Transfer(tr) },
+		Diagnostic: p.end,
 	}
 }
 

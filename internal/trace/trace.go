@@ -16,14 +16,19 @@
 // pipeline.Pipeline, the engine's sink. The tracer itself keeps only its
 // counters and the flush ordering of its interception points: why a
 // transfer's bulk access lands after every buffered element access, and
-// when a kernel launch is a drain point. What concurrent simulated
-// kernels may assume is documented once, in package record.
+// when a kernel launch is a drain point. A diagnostic point crosses the
+// wire like any event, so a stream reader's snapshot of a finished run
+// is its last diagnostic's report (concurrent streams under one reader
+// key end each other's intervals). What concurrent simulated kernels may
+// assume is documented once, in package record.
 package trace
 
 import (
 	"fmt"
 	"sync/atomic"
 
+	"xplacer/internal/detect"
+	"xplacer/internal/diag"
 	"xplacer/internal/machine"
 	"xplacer/internal/memsim"
 	"xplacer/internal/pattern"
@@ -89,6 +94,14 @@ func (t *Tracer) Table() *shadow.Table {
 func (t *Tracer) Pipeline() *pipeline.Pipeline {
 	t.eng.Flush()
 	return t.pl
+}
+
+// Diagnostic flushes buffered accesses and runs the pipeline's
+// diagnostic point (analyze, reset, forward) under the engine lock.
+func (t *Tracer) Diagnostic(title string, opt detect.Options) (r diag.Report) {
+	t.eng.Flush()
+	t.eng.Locked(func() { r = t.pl.Diagnostic(title, opt) })
+	return r
 }
 
 // Stats flushes buffered accesses and returns cumulative instrumentation
@@ -210,10 +223,10 @@ func (t *Tracer) EnablePatterns(now func() machine.Duration) *pattern.Sink {
 func (t *Tracer) Patterns() *pattern.Sink { return t.pl.Patterns() }
 
 // EnableStream attaches a wire streaming sink: every drained batch,
-// allocation event, free, label, transfer, and kernel-launch span marker
-// is forwarded on the wire, so a consumer (cmd/xplagg, or the
-// -trace-budget replay) can rebuild the shadow table and run the same
-// analyses through its own pipeline.Pipeline. Several sinks may be
+// allocation event, free, label, transfer, diagnostic point, and
+// kernel-launch span marker is forwarded on the wire, so a consumer
+// (cmd/xplagg) can rebuild the shadow table and run the same analyses
+// through its own pipeline.Pipeline. Several sinks may be
 // attached; each sees the same frames. Like a pattern sink, a stream
 // makes kernel launches drain points. Call before recording starts; the
 // caller owns Close on the sink after the final flush.

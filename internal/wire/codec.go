@@ -72,12 +72,7 @@ func AppendBatch(buf []byte, batch []shadow.Access) []byte {
 // AppendSpan appends a span-boundary frame. Names beyond MaxNameLen are
 // truncated so the frame always decodes.
 func AppendSpan(buf []byte, name string, at machine.Duration) []byte {
-	if len(name) > MaxNameLen {
-		name = name[:MaxNameLen]
-	}
-	buf = append(buf, FrameSpan)
-	buf = binary.AppendUvarint(buf, uint64(len(name)))
-	buf = append(buf, name...)
+	buf = appendString(append(buf, FrameSpan), name)
 	return binary.AppendUvarint(buf, uint64(at))
 }
 
@@ -89,22 +84,12 @@ func AppendClock(buf []byte, at machine.Duration) []byte {
 
 // AppendAlloc appends an allocation frame.
 func AppendAlloc(buf []byte, a AllocInfo) []byte {
-	label, fn := a.Label, a.Fn
-	if len(label) > MaxNameLen {
-		label = label[:MaxNameLen]
-	}
-	if len(fn) > MaxNameLen {
-		fn = fn[:MaxNameLen]
-	}
 	buf = append(buf, FrameAlloc)
 	buf = binary.AppendUvarint(buf, uint64(a.ID))
 	buf = binary.AppendUvarint(buf, uint64(a.Base))
 	buf = binary.AppendUvarint(buf, uint64(a.Size))
 	buf = append(buf, byte(a.Kind))
-	buf = binary.AppendUvarint(buf, uint64(len(label)))
-	buf = append(buf, label...)
-	buf = binary.AppendUvarint(buf, uint64(len(fn)))
-	return append(buf, fn...)
+	return appendString(appendString(buf, a.Label), a.Fn)
 }
 
 // AppendFree appends a free frame.
@@ -115,13 +100,8 @@ func AppendFree(buf []byte, id int) []byte {
 
 // AppendLabel appends a late-labeling frame.
 func AppendLabel(buf []byte, id int, label string) []byte {
-	if len(label) > MaxNameLen {
-		label = label[:MaxNameLen]
-	}
-	buf = append(buf, FrameLabel)
-	buf = binary.AppendUvarint(buf, uint64(id))
-	buf = binary.AppendUvarint(buf, uint64(len(label)))
-	return append(buf, label...)
+	buf = binary.AppendUvarint(append(buf, FrameLabel), uint64(id))
+	return appendString(buf, label)
 }
 
 // AppendTransfer appends a bulk-transfer frame.
@@ -133,16 +113,22 @@ func AppendTransfer(buf []byte, tr TransferInfo) []byte {
 	return binary.AppendUvarint(buf, uint64(tr.N))
 }
 
+// AppendDiagnostic appends a diagnostic-point frame.
+func AppendDiagnostic(buf []byte, title string) []byte {
+	return appendString(append(buf, FrameDiagnostic), title)
+}
+
 // Handler receives decoded frames. A nil callback skips its frame kind
 // (the frame is still parsed and validated).
 type Handler struct {
-	Batch    func(batch []shadow.Access)
-	Span     func(name string, at machine.Duration)
-	Clock    func(at machine.Duration)
-	Alloc    func(a AllocInfo)
-	Free     func(id int)
-	Label    func(id int, label string)
-	Transfer func(tr TransferInfo)
+	Batch      func(batch []shadow.Access)
+	Span       func(name string, at machine.Duration)
+	Clock      func(at machine.Duration)
+	Alloc      func(a AllocInfo)
+	Free       func(id int)
+	Label      func(id int, label string)
+	Transfer   func(tr TransferInfo)
+	Diagnostic func(title string)
 }
 
 // Reader is what stream decoding needs: buffered byte-at-a-time reads
@@ -439,6 +425,14 @@ func (d *FrameDecoder) decodeOne(p []byte) (int, error) {
 		}
 		if d.h.Transfer != nil {
 			d.h.Transfer(TransferInfo{ID: int(id), Dir: dir, Off: int64(off), N: int64(n)})
+		}
+	case FrameDiagnostic:
+		title, err := s.str("diagnostic title")
+		if err != nil {
+			return 0, err
+		}
+		if d.h.Diagnostic != nil {
+			d.h.Diagnostic(title)
 		}
 	default:
 		return 0, fmt.Errorf("wire: corrupt input (frame tag %#x)", tag)

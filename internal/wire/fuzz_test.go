@@ -3,7 +3,9 @@ package wire
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
+	"strings"
 	"testing"
 
 	"xplacer/internal/machine"
@@ -43,6 +45,7 @@ func sampleStream() []byte {
 	frames = AppendLabel(frames, 1, "renamed")
 	frames = AppendTransfer(frames, TransferInfo{ID: 1, Dir: DeviceToHost, Off: 16, N: 128})
 	frames = AppendFree(frames, 1)
+	frames = AppendDiagnostic(frames, "step 1")
 	buf = AppendSegment(buf, SegFrames, frames)
 	buf = AppendSegment(buf, SegBye, AppendBye(nil, Bye{Batches: 1, Records: 300}))
 	return buf
@@ -75,6 +78,12 @@ func countingHandler(t *testing.T) (StreamHandler, *int) {
 		Free:     func(int) { *n++ },
 		Label:    func(int, string) { *n++ },
 		Transfer: func(TransferInfo) { *n++ },
+		Diagnostic: func(title string) {
+			if len(title) > MaxNameLen {
+				t.Fatalf("decoder produced %d-byte title (cap %d)", len(title), MaxNameLen)
+			}
+			*n++
+		},
 	}
 	return StreamHandler{
 		Hello: func(h Hello) (Handler, error) {
@@ -161,6 +170,8 @@ func TestStreamRoundTrip(t *testing.T) {
 			want = append(want, event{kind: "alloc", id: i})
 			ss.Free(i)
 			want = append(want, event{kind: "free", id: i})
+			ss.Diagnostic("d")
+			want = append(want, event{kind: "diagnostic", name: "d"})
 		}
 	}
 	// A batch over MaxFrameRecords splits across frames and decodes back
@@ -194,6 +205,9 @@ func TestStreamRoundTrip(t *testing.T) {
 				Clock: func(at machine.Duration) { got = append(got, event{kind: "clock", at: at}) },
 				Alloc: func(a AllocInfo) { got = append(got, event{kind: "alloc", id: a.ID}) },
 				Free:  func(id int) { got = append(got, event{kind: "free", id: id}) },
+				Diagnostic: func(title string) {
+					got = append(got, event{kind: "diagnostic", name: title})
+				},
 			}, nil
 		},
 		Bye: func(b Bye) { gotBye = &b },
@@ -224,6 +238,40 @@ func TestStreamRoundTrip(t *testing.T) {
 				t.Fatalf("event %d record %d: got %+v, want %+v", i, j, g.batch[j], w.batch[j])
 			}
 		}
+	}
+}
+
+// TestVersion1StreamDecodes pins backward compatibility: a stream with
+// a version-1 header, which has no diagnostic frame, decodes frame for
+// frame under version 2.
+func TestVersion1StreamDecodes(t *testing.T) {
+	buf := append([]byte(Magic), 1)
+	buf = AppendSegment(buf, SegHello, AppendHello(nil, Hello{Tenant: "t", Process: "old"}))
+	var frames []byte
+	frames = AppendAlloc(frames, AllocInfo{ID: 3, Base: 0x1000, Size: 64, Kind: memsim.Managed, Label: "xs"})
+	frames = AppendBatch(frames, sampleBatch(10, 0x1000))
+	frames = AppendFree(frames, 3)
+	buf = AppendSegment(buf, SegFrames, frames)
+	buf = AppendSegment(buf, SegBye, AppendBye(nil, Bye{Batches: 1, Records: 10}))
+
+	var process string
+	var events []string
+	err := ReadStream(bytes.NewReader(buf), StreamHandler{
+		Hello: func(h Hello) (Handler, error) {
+			process = h.Process
+			return Handler{
+				Alloc: func(a AllocInfo) { events = append(events, fmt.Sprintf("alloc %d %s", a.ID, a.Label)) },
+				Batch: func(b []shadow.Access) { events = append(events, fmt.Sprintf("batch %d", len(b))) },
+				Free:  func(id int) { events = append(events, fmt.Sprintf("free %d", id)) },
+			}, nil
+		},
+		Bye: func(b Bye) { events = append(events, fmt.Sprintf("bye %d", b.Records)) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := strings.Join(events, ", "), "alloc 3 xs, batch 10, free 3, bye 10"; process != "old" || got != want {
+		t.Fatalf("decoded %q from process %q, want %q from \"old\"", got, process, want)
 	}
 }
 

@@ -68,9 +68,9 @@ type Config struct {
 // one lock.
 //
 // The sink also carries the shadow-table life-cycle frames (Alloc, Free,
-// Label, Transfer) and the span markers a remote consumer needs to
-// rebuild per-allocation state. The pipeline.Pipeline the sink is
-// attached to calls them: it forwards every event after applying it.
+// Label, Transfer, Diagnostic) and the span markers a remote consumer
+// needs to rebuild per-allocation state. The pipeline.Pipeline the sink
+// is attached to calls them: it forwards every event after applying it.
 type StreamSink struct {
 	policy     Policy
 	queueBytes int
@@ -204,46 +204,44 @@ func (s *StreamSink) Span(name string) {
 	}
 }
 
-// Alloc forwards an allocation interception.
-func (s *StreamSink) Alloc(a AllocInfo) {
+// frame appends one life-cycle frame to the open segment, cutting it
+// once it reaches the target size.
+func (s *StreamSink) frame(appendTo func([]byte) []byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.seg = AppendAlloc(s.seg, a)
+	s.seg = appendTo(s.seg)
 	if len(s.seg) >= s.segTarget {
 		s.cutLocked(false)
 	}
+}
+
+// Alloc forwards an allocation interception.
+func (s *StreamSink) Alloc(a AllocInfo) {
+	s.frame(func(b []byte) []byte { return AppendAlloc(b, a) })
 }
 
 // Free forwards a free interception (the caller flushes the engine
 // first, so buffered accesses precede the free on the wire).
 func (s *StreamSink) Free(id int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.seg = AppendFree(s.seg, id)
-	if len(s.seg) >= s.segTarget {
-		s.cutLocked(false)
-	}
+	s.frame(func(b []byte) []byte { return AppendFree(b, id) })
 }
 
 // Label forwards a late labeling.
 func (s *StreamSink) Label(id int, label string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.seg = AppendLabel(s.seg, id, label)
-	if len(s.seg) >= s.segTarget {
-		s.cutLocked(false)
-	}
+	s.frame(func(b []byte) []byte { return AppendLabel(b, id, label) })
 }
 
 // Transfer forwards a bulk-transfer interception (flushed-first by the
 // caller, like Free).
 func (s *StreamSink) Transfer(id int, dir byte, off, n int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.seg = AppendTransfer(s.seg, TransferInfo{ID: id, Dir: dir, Off: off, N: n})
-	if len(s.seg) >= s.segTarget {
-		s.cutLocked(false)
-	}
+	tr := TransferInfo{ID: id, Dir: dir, Off: off, N: n}
+	s.frame(func(b []byte) []byte { return AppendTransfer(b, tr) })
+}
+
+// Diagnostic forwards a diagnostic point: the caller analyzed its table
+// and reset it, so the frame ends the stream's interval.
+func (s *StreamSink) Diagnostic(title string) {
+	s.frame(func(b []byte) []byte { return AppendDiagnostic(b, title) })
 }
 
 // Flush cuts and queues the open segment, if any. It does not wait for

@@ -66,6 +66,7 @@ func AppendBye(buf []byte, b Bye) []byte {
 	return binary.AppendUvarint(buf, uint64(b.DroppedBytes))
 }
 
+// appendString appends s, cut to MaxNameLen, after its uvarint length.
 func appendString(buf []byte, s string) []byte {
 	if len(s) > MaxNameLen {
 		s = s[:MaxNameLen]

@@ -1,10 +1,12 @@
 // Package wire is XPlacer's versioned binary trace format: the one log
 // format every trace consumer reads. A traced program's pipeline.Pipeline
 // writes it through the StreamSinks attached to it, and the same stream
-// goes to a trace file for later ingest, over a socket to a long-running
-// aggregator (cmd/xplagg), or to the temporary log `xplacer
-// -trace-budget` replays; each consumer decodes it into a pipeline of
-// its own.
+// goes to a trace file for later ingest (`xplagg -snapshot`) or over a
+// socket to a long-running aggregator (cmd/xplagg); each consumer
+// decodes it into a pipeline of its own. A diagnostic frame ends an
+// analysis interval, so the snapshot of a finished stream is the report
+// of its last diagnostic point; concurrent streams into one consumer
+// pipeline end each other's intervals.
 //
 // The format has three layers:
 //
@@ -46,7 +48,9 @@ const Magic = "XPLT"
 //	1 — initial versioned format: batch/span/clock frames,
 //	    alloc/free/label/transfer frames, and the hello/frames/bye
 //	    segment transport.
-const Version = 1
+//	2 — adds the diagnostic frame. A version-1 stream is a version-2
+//	    stream without it, so both decode.
+const Version = 2
 
 // Decode limits. Every length field is checked against these before any
 // allocation, so corrupt input produces errors, not huge allocations.
@@ -61,8 +65,8 @@ const (
 )
 
 // Frame tags. Batch, span, and clock carry the access stream; alloc,
-// free, label, and transfer carry the shadow-table life cycle, so a
-// consumer can rebuild the client's shadow table.
+// free, label, transfer, and diagnostic carry the shadow-table life
+// cycle, so a consumer can rebuild the client's shadow table.
 const (
 	// FrameBatch: uvarint record count, then per record dev byte, kind
 	// byte, uvarint size, svarint address delta (against the previous
@@ -93,6 +97,9 @@ const (
 	// 1 device-to-host), uvarint offset, uvarint byte count. Mirrors
 	// TraceTransfer's bulk shadow effect and transfer byte accounting.
 	FrameTransfer = 0x07
+	// FrameDiagnostic: uvarint title length + title. A diagnostic point
+	// ends the interval: the client analyzed its table, then reset it.
+	FrameDiagnostic = 0x08
 )
 
 // Segment tags (stream transport).
@@ -109,14 +116,14 @@ const (
 )
 
 // VersionError reports a header whose version this package does not
-// decode.
+// decode; Supported is the newest version it does.
 type VersionError struct {
 	Found     uint64
 	Supported uint64
 }
 
 func (e *VersionError) Error() string {
-	return fmt.Sprintf("wire: unsupported format version %d (supported: %d)", e.Found, e.Supported)
+	return fmt.Sprintf("wire: unsupported format version %d (supported: 1-%d)", e.Found, e.Supported)
 }
 
 // AppendHeader appends the magic and current version to buf.
@@ -143,7 +150,7 @@ func ReadHeader(r io.ByteReader) error {
 	if err != nil {
 		return fmt.Errorf("wire: truncated header version: %w", unexpectEOF(err))
 	}
-	if v != Version {
+	if v < 1 || v > Version {
 		return &VersionError{Found: v, Supported: Version}
 	}
 	return nil

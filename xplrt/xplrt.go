@@ -524,33 +524,27 @@ func expand(v reflect.Value, name string, seen map[reflect.Type]bool, out *[]All
 // anti-pattern findings to w, and resets the interval state.
 func TracePrint(w io.Writer, data ...AllocData) {
 	rt.eng.Flush()
+	var r diag.Report
 	rt.eng.Locked(func() {
-		table := rt.pl.Table()
 		for _, d := range data {
 			// FindAny: freed-but-retained entries are still part of this
 			// interval's report and deserve their user-facing name.
-			if e := table.FindAny(memsim.Addr(d.Base)); e != nil {
+			if e := rt.pl.Table().FindAny(memsim.Addr(d.Base)); e != nil {
 				rt.pl.Label(e.AllocID, d.Name)
 			}
 		}
-		r := diag.Analyze(table.Entries(), "", rt.opt)
-		if w != nil {
-			r.Text(w)
-		}
-		table.Reset()
+		r = rt.pl.Diagnostic("", rt.opt)
 	})
+	if w != nil {
+		r.Text(w)
+	}
 }
 
 // Report flushes the access buffers, analyzes without printing, and resets
 // the interval state.
-func Report() diag.Report {
+func Report() (r diag.Report) {
 	rt.eng.Flush()
-	var r diag.Report
-	rt.eng.Locked(func() {
-		table := rt.pl.Table()
-		r = diag.Analyze(table.Entries(), "", rt.opt)
-		table.Reset()
-	})
+	rt.eng.Locked(func() { r = rt.pl.Diagnostic("", rt.opt) })
 	return r
 }
 

@@ -514,6 +514,64 @@ func TestRelabelReachesStream(t *testing.T) {
 	}
 }
 
+// TestTracePrintEndsStreamInterval: a mid-run TracePrint is a diagnostic
+// frame on the stream, so a replaying pipeline resets its table where
+// the program's did. The released registration is gone from the second
+// interval, and the replayed report of that interval is the program's.
+func TestTracePrintEndsStreamInterval(t *testing.T) {
+	Reset()
+	t.Cleanup(func() { rt = newRuntime() })
+	var buf bytes.Buffer
+	ss, err := wire.NewStreamSink(&buf, wire.Config{Hello: wire.Hello{Tenant: "t", Process: "intervals"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	EnableStream(ss)
+	xs := Slice[float32](64, "xs")
+	tmp := Slice[float32](64, "tmp")
+	for i := range xs {
+		*TraceW(&xs[i]) = 1
+		*TraceW(&tmp[i]) = 2
+	}
+	Release(tmp)
+	TracePrint(io.Discard)
+	programLen := Allocations()
+	OnDevice(GPU, func(s *DeviceScope) {
+		for i := range xs {
+			_ = *ScopeR(s, &xs[i])
+		}
+	})
+	local := Report()
+	if err := ss.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	pl := pipeline.New()
+	h := pl.Handler()
+	endInterval := h.Diagnostic
+	var lens []int // the replayed table's length at each diagnostic frame
+	h.Diagnostic = func(title string) {
+		endInterval(title)
+		lens = append(lens, pl.Table().Len())
+	}
+	err = wire.ReadStream(bytes.NewReader(buf.Bytes()), wire.StreamHandler{
+		Hello: func(wire.Hello) (wire.Handler, error) { return h, nil },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{2, programLen}; !reflect.DeepEqual(lens, want) {
+		t.Fatalf("replayed table lengths at the diagnostic frames = %v, want %v", lens, want)
+	}
+	replayed := pl.Report("", machine.IntelPascal())
+	if len(local.Allocs) != 1 || local.Allocs[0].ReadCG != 64 || local.Allocs[0].WriteC != 0 {
+		t.Fatalf("program's second interval = %+v, want xs read 64 words by the GPU", local.Allocs)
+	}
+	if !reflect.DeepEqual(replayed.Allocs, local.Allocs) || !reflect.DeepEqual(replayed.Findings, local.Findings) {
+		t.Errorf("replayed interval %+v differs from the program's %+v", replayed.Allocs, local.Allocs)
+	}
+}
+
 // TestPatternDigestsPerAllocation: registrations made without a stream
 // attached still get ids of their own. diag.SummarizePatterns keys each
 // allocation's digest by id, so two allocations sharing one would both
