@@ -454,11 +454,11 @@ func BenchmarkDiagAnalyze(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*allocs*words), "ns_per_word")
 }
 
-// BenchmarkWireIngest measures the fleet aggregator's pipelined
-// decode-and-apply throughput on Spatter-mix streams: 8 pre-encoded
-// wire streams (distinct processes, so each gets its own apply worker)
-// ingested concurrently into one Aggregator, exactly as xplagg's TCP
-// path does. Three access mixes cover the apply paths — Range (uniform
+// BenchmarkWireIngest measures the fleet aggregator's decode-and-apply
+// throughput on Spatter-mix streams: 8 pre-encoded wire streams
+// (distinct processes, so none waits for another's lock) ingested
+// concurrently into one Aggregator, each applied on its own goroutine,
+// exactly as xplagg's TCP path does. Three access mixes cover the apply paths — Range (uniform
 // sweeps coalesced into long RLE records: the bulk shadow path), Scalar
 // (random indices, one record per element: the per-word path), and
 // Gather (gather-local, scalar-heavy with short local runs) — each at
@@ -509,8 +509,7 @@ func BenchmarkWireIngest(b *testing.B) {
 							}
 						}(s)
 					}
-					wg.Wait()
-					g.Close() // barrier: all enqueued frames applied, workers gone
+					wg.Wait() // each Ingest returns once its stream is applied
 				}
 				b.StopTimer()
 				records := float64(b.N) * float64(total)

@@ -2,10 +2,12 @@
 // that accepts wire-format trace streams from many instrumented client
 // processes at once (see the -stream option of cmd/xplacer and
 // xplrt.EnableStream), keeps per-(tenant, process) shadow/heat-map/
-// pattern state, and serves live snapshots over HTTP. Ingest is
-// pipelined: connection goroutines only decode, and one apply worker per
-// (tenant, process) drains a bounded queue, so the daemon scales with
-// cores while preserving per-stream frame order.
+// pattern state, and serves live snapshots over HTTP. Each connection's
+// goroutine decodes its stream and applies every frame as it goes, under
+// its (tenant, process)'s lock: distinct processes aggregate in
+// parallel, per-stream frame order holds, and a connection waiting for
+// the lock stops reading, which stalls that client through TCP flow
+// control.
 //
 // Usage:
 //
@@ -23,7 +25,7 @@
 //	            other's intervals
 //	/perfetto   ?tenant=T&process=P — kernel spans as Chrome trace JSON
 //	/metrics    Prometheus text-format counters (xplagg_*), including
-//	            per-proc apply-queue depth and ingest stalls
+//	            per-proc ingest stalls (frames that waited for the lock)
 //	/debug/pprof/   Go profiling endpoints, only with -pprof
 //
 // Positional arguments are trace files (captured with
@@ -47,13 +49,12 @@ func main() {
 		listen    = flag.String("listen", "", "accept client trace streams on this TCP address (e.g. :9811)")
 		httpAddr  = flag.String("http", "", "serve snapshots and metrics on this HTTP address (e.g. :9812)")
 		snapshot  = flag.Bool("snapshot", false, "after ingesting the trace-file arguments, print every proc's report JSON to stdout and exit")
-		queue     = flag.Int("queue", agg.DefaultQueueDepth, "per-process apply queue depth (decoded frames buffered between a connection's decoder and the apply worker; full queues stall only that connection)")
 		staleness = flag.Duration("snapshot-stale", agg.DefaultSnapshotMaxAge, "maximum age of the published snapshot /snapshot and /perfetto serve before rebuilding (the staleness bound; 0 rebuilds whenever ingest is ahead)")
 		pprofOn   = flag.Bool("pprof", false, "expose Go profiling at /debug/pprof/ on the -http address")
 	)
 	flag.Parse()
 
-	g := agg.New(agg.WithQueueDepth(*queue), agg.WithSnapshotMaxAge(*staleness))
+	g := agg.New(agg.WithSnapshotMaxAge(*staleness))
 
 	// File ingest first, sequentially: deterministic for goldens.
 	for _, path := range flag.Args() {
@@ -85,7 +86,7 @@ func main() {
 		h := g.Handler()
 		if *pprofOn {
 			// Profiling rides the same mux so ingest hot spots (decode,
-			// apply workers, snapshot builds) are inspectable in production:
+			// apply, snapshot builds) are inspectable in production:
 			//   go tool pprof http://host:port/debug/pprof/profile
 			mux := http.NewServeMux()
 			mux.Handle("/", h)

@@ -17,11 +17,12 @@ import (
 //
 // /snapshot and /perfetto serve the proc's published snapshot — at most
 // the aggregator's snapshot max-age stale, exact when ingest is idle —
-// so they never block apply workers. Add &fresh=1 to force an exact
-// snapshot (waits for the apply queue to drain past the request). A
-// finished stream's snapshot is the report of its last diagnostic point;
-// concurrent streams under one (tenant, process) end each other's
-// intervals. /tenants and /metrics read atomic counters only.
+// without taking the proc's lock. Add &fresh=1 to force an exact
+// snapshot: it locks the proc and builds the report between two frames,
+// stalling that proc's ingest for one report build. A finished stream's
+// snapshot is the report of its last diagnostic point; concurrent
+// streams under one (tenant, process) end each other's intervals.
+// /tenants and /metrics read atomic counters only.
 func (g *Aggregator) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/tenants", g.serveTenants)
@@ -73,7 +74,6 @@ type tenantEntry struct {
 	Streams       int64  `json:"streams"`
 	Batches       int64  `json:"batches"`
 	Records       int64  `json:"records"`
-	QueueDepth    int    `json:"queue_depth,omitempty"`
 	IngestStalls  int64  `json:"ingest_stalls,omitempty"`
 	ClientDropped int64  `json:"client_dropped_records,omitempty"`
 }
@@ -82,11 +82,10 @@ func (g *Aggregator) serveTenants(w http.ResponseWriter, _ *http.Request) {
 	out := []tenantEntry{}
 	for _, p := range g.Procs() {
 		batches, records, streams, dropped := p.Stats()
-		depth, _, stalls := p.QueueStats()
 		out = append(out, tenantEntry{
 			Tenant: p.Tenant, Process: p.Process, Platform: p.Platform,
 			Streams: streams, Batches: batches, Records: records,
-			QueueDepth: depth, IngestStalls: stalls, ClientDropped: dropped,
+			IngestStalls: p.stalls.Load(), ClientDropped: dropped,
 		})
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -138,11 +137,10 @@ func (g *Aggregator) servePerfetto(w http.ResponseWriter, r *http.Request) {
 }
 
 // serveMetrics writes Prometheus text-format counters: global ingest
-// totals plus per-proc applied records and batches, apply-queue depth,
-// ingest stalls and client-reported drops. Each family is one group led
-// by its HELP and TYPE lines, with one sample per proc. Reads atomics
-// only — never an apply-path structure — so it is stall-free in both
-// directions.
+// totals plus per-proc applied records and batches, ingest stalls and
+// client-reported drops. Each family is one group led by its HELP and
+// TYPE lines, with one sample per proc. Reads atomics only — never a
+// proc's lock — so it is stall-free in both directions.
 func (g *Aggregator) serveMetrics(w http.ResponseWriter, _ *http.Request) {
 	streams, active, batches, records, bytes, crcErrs, decodeErrs := g.Totals()
 	served, builds := g.SnapshotStats()
@@ -155,14 +153,13 @@ func (g *Aggregator) serveMetrics(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintf(w, "# HELP xplagg_checksum_errors_total Segments failing CRC.\n# TYPE xplagg_checksum_errors_total counter\nxplagg_checksum_errors_total %d\n", crcErrs)
 	fmt.Fprintf(w, "# HELP xplagg_decode_errors_total Streams failing to decode.\n# TYPE xplagg_decode_errors_total counter\nxplagg_decode_errors_total %d\n", decodeErrs)
 	fmt.Fprintf(w, "# HELP xplagg_snapshots_served_total Snapshot requests served from the published state.\n# TYPE xplagg_snapshots_served_total counter\nxplagg_snapshots_served_total %d\n", served)
-	fmt.Fprintf(w, "# HELP xplagg_snapshot_builds_total Snapshot rebuilds performed by apply workers.\n# TYPE xplagg_snapshot_builds_total counter\nxplagg_snapshot_builds_total %d\n", builds)
+	fmt.Fprintf(w, "# HELP xplagg_snapshot_builds_total Snapshot reports built: exact requests, and rebuilds of a published snapshot past its max age.\n# TYPE xplagg_snapshot_builds_total counter\nxplagg_snapshot_builds_total %d\n", builds)
 
 	// Read each proc's counters once, so every family reports the same
 	// reading.
 	type procRow struct {
 		p                                 *Proc
 		batches, records, stalls, dropped int64
-		depth, capacity                   int
 	}
 	procs := g.Procs()
 	rows := make([]procRow, len(procs))
@@ -170,31 +167,27 @@ func (g *Aggregator) serveMetrics(w http.ResponseWriter, _ *http.Request) {
 		r := &rows[i]
 		r.p = p
 		r.batches, r.records, _, r.dropped = p.Stats()
-		r.depth, r.capacity, r.stalls = p.QueueStats()
+		r.stalls = p.stalls.Load()
 	}
 	for _, f := range []struct {
 		name, typ, help string
-		// sample returns a proc's value, any labels after tenant and
-		// process, and whether the proc has a sample in this family.
-		sample func(r procRow) (v int64, extra string, ok bool)
+		// sample returns a proc's value and whether the proc has a
+		// sample in this family.
+		sample func(r procRow) (v int64, ok bool)
 	}{
 		{"xplagg_proc_records_total", "counter", "Access records applied per process.",
-			func(r procRow) (int64, string, bool) { return r.records, "", true }},
+			func(r procRow) (int64, bool) { return r.records, true }},
 		{"xplagg_proc_batches_total", "counter", "Access batches applied per process.",
-			func(r procRow) (int64, string, bool) { return r.batches, "", true }},
-		{"xplagg_proc_queue_depth", "gauge", "Apply-queue depth per process; the capacity label is the queue's bound.",
-			func(r procRow) (int64, string, bool) {
-				return int64(r.depth), fmt.Sprintf(",capacity=\"%d\"", r.capacity), true
-			}},
-		{"xplagg_proc_ingest_stalls_total", "counter", "Enqueues per process that stalled on a full apply queue.",
-			func(r procRow) (int64, string, bool) { return r.stalls, "", true }},
+			func(r procRow) (int64, bool) { return r.batches, true }},
+		{"xplagg_proc_ingest_stalls_total", "counter", "Frames per process that waited for the process's lock, held by another stream's frame or a snapshot build.",
+			func(r procRow) (int64, bool) { return r.stalls, true }},
 		{"xplagg_proc_client_dropped_records", "counter", "Records the process's clients reported dropping before the wire; no sample while zero.",
-			func(r procRow) (int64, string, bool) { return r.dropped, "", r.dropped > 0 }},
+			func(r procRow) (int64, bool) { return r.dropped, r.dropped > 0 }},
 	} {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, f.typ)
 		for _, r := range rows {
-			if v, extra, ok := f.sample(r); ok {
-				fmt.Fprintf(w, "%s{tenant=%q,process=%q%s} %d\n", f.name, r.p.Tenant, r.p.Process, extra, v)
+			if v, ok := f.sample(r); ok {
+				fmt.Fprintf(w, "%s{tenant=%q,process=%q} %d\n", f.name, r.p.Tenant, r.p.Process, v)
 			}
 		}
 	}

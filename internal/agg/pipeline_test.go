@@ -1,6 +1,7 @@
 package agg
 
 import (
+	"io"
 	"runtime"
 	"testing"
 	"time"
@@ -11,24 +12,14 @@ import (
 	"xplacer/internal/wire"
 )
 
-// drainProc spins until the proc's apply worker has applied every
-// mutation enqueued so far. Test-only: production readers barrier
-// through the queue (Proc.Report) instead of polling.
-func drainProc(p *Proc) {
-	for p.app.Load() != p.enq.Load() {
-		runtime.Gosched()
-	}
-}
-
 // TestIngestSteadyStateAllocs pins the zero-allocation guarantee on the
-// per-frame hot path: once the pools are warm, decoding a batch frame,
-// enqueueing it, applying it through every sink, and recycling the
-// buffers mallocs nothing. A regression here (a dropped pool, a slice
-// that escapes, a map that grows per frame) fails loudly rather than
-// showing up as GC pressure on a loaded aggregator.
+// per-frame hot path: once the sinks are warm, decoding a batch frame
+// and applying it through every sink under the proc's lock mallocs
+// nothing. A regression here (a slice that escapes, a map that grows
+// per frame) fails loudly rather than showing up as GC pressure on a
+// loaded aggregator.
 func TestIngestSteadyStateAllocs(t *testing.T) {
 	g := New()
-	defer g.Close()
 	p := g.proc(wire.Hello{Tenant: "t", Process: "allocs", Platform: "Intel+Pascal"})
 
 	const base = memsim.Addr(0x10000)
@@ -55,100 +46,100 @@ func TestIngestSteadyStateAllocs(t *testing.T) {
 	})
 	batchFrame := wire.AppendBatch(nil, batch)
 
-	fd := wire.NewFrameDecoder(nil, g.streamHandler(p))
-	fd.SetBatchPool(g.batches)
+	fd := wire.NewFrameDecoder(nil, p.h)
 	if err := fd.DecodePayload(allocFrame); err != nil {
 		t.Fatal(err)
 	}
-	// Warmup: grow the sinks' per-entry state and populate the item and
-	// batch freelists (a couple of un-drained decodes so more than one
-	// item circulates).
+	// Warmup: grow the sinks' per-entry state and the decoder's batch
+	// buffer.
 	for i := 0; i < 50; i++ {
 		if err := fd.DecodePayload(batchFrame); err != nil {
 			t.Fatal(err)
 		}
 	}
-	drainProc(p)
 
 	avg := testing.AllocsPerRun(100, func() {
 		if err := fd.DecodePayload(batchFrame); err != nil {
 			t.Fatal(err)
 		}
-		drainProc(p)
 	})
 	if avg != 0 {
 		t.Fatalf("steady-state ingest allocates %.2f objects per frame, want 0", avg)
 	}
 }
 
-// TestBackpressureStallsConnection pins the backpressure edge: with the
-// apply worker wedged and a depth-1 queue, an ingesting decode goroutine
-// must stall (and be counted stalling) instead of buffering without
-// bound — and must deliver every record once the worker resumes.
+// TestBackpressureStallsConnection pins the backpressure edge: while
+// the proc's lock is held, an ingesting stream must stall (and be
+// counted stalling) instead of buffering without bound, so its writer —
+// the client's connection — stalls too; and every record must apply
+// once the lock is released.
 func TestBackpressureStallsConnection(t *testing.T) {
-	g := New(WithQueueDepth(1))
-	defer g.Close()
-	p := g.proc(wire.Hello{Tenant: "t", Process: "stall", Platform: "Intel+Pascal"})
+	g := New()
+	hello := wire.Hello{Tenant: "t", Process: "stall", Platform: "Intel+Pascal"}
+	p := g.proc(hello)
 
-	// Wedge the worker: a snapshot request with an unbuffered reply
-	// channel blocks apply until the test reads from it. (Production
-	// snapshot requests are buffered for exactly this reason.)
-	wedge := make(chan *Snapshot)
-	it := g.item()
-	it.kind = itemSnapshot
-	it.snap = wedge
-	p.enqueue(it)
+	// A stream far larger than what the reader can buffer: 64 segments
+	// of 256 two-record batch frames each.
+	const segments, framesPerSeg = 64, 256
+	var frames []byte
+	for i := 0; i < framesPerSeg; i++ {
+		frames = wire.AppendBatch(frames, []shadow.Access{
+			{Dev: machine.GPU, Kind: memsim.Read, Size: 4, Addr: 0x100},
+			{Dev: machine.GPU, Kind: memsim.Write, Size: 4, Addr: 0x104},
+		})
+	}
+	stream := wire.AppendSegment(wire.AppendHeader(nil), wire.SegHello, wire.AppendHello(nil, hello))
+	for i := 0; i < segments; i++ {
+		stream = wire.AppendSegment(stream, wire.SegFrames, frames)
+	}
 
-	// Feed frames from a decode goroutine, like one TCP connection.
-	const frames = 16
-	batchFrame := wire.AppendBatch(nil, []shadow.Access{
-		{Dev: machine.GPU, Kind: memsim.Read, Size: 4, Addr: 0x100},
-		{Dev: machine.GPU, Kind: memsim.Write, Size: 4, Addr: 0x104},
-	})
-	fd := wire.NewFrameDecoder(nil, g.streamHandler(p))
-	fd.SetBatchPool(g.batches)
-	done := make(chan error, 1)
+	p.mu.Lock() // what another stream's frame or a snapshot build does
+	pr, pw := io.Pipe()
+	written := make(chan error, 1)
 	go func() {
-		var err error
-		for i := 0; i < frames && err == nil; i++ {
-			err = fd.DecodePayload(batchFrame)
-		}
-		done <- err
+		_, err := pw.Write(stream)
+		pw.Close()
+		written <- err
 	}()
+	done := make(chan error, 1)
+	go func() { done <- g.Ingest(pr) }()
 
-	// The decoder must hit the full queue and stall there.
+	// The stream's goroutine must hit the held lock and stall there.
 	deadline := time.Now().Add(5 * time.Second)
 	for p.stalls.Load() == 0 {
 		if time.Now().After(deadline) {
-			t.Fatal("decode goroutine never stalled on the full apply queue")
+			t.Fatal("ingest never stalled on the held proc lock")
 		}
 		runtime.Gosched()
 	}
 	select {
 	case err := <-done:
-		t.Fatalf("ingest finished (err=%v) while the apply worker was wedged", err)
+		t.Fatalf("ingest finished (err=%v) while the proc's lock was held", err)
+	case err := <-written:
+		t.Fatalf("the whole stream was written (err=%v) while its ingest was stalled", err)
 	default:
 	}
 
-	// Release the worker; everything queued and everything still to be
-	// decoded must apply, nothing lost or double-counted.
-	<-wedge
+	// Release the lock; everything must apply, nothing lost or
+	// double-counted.
+	p.mu.Unlock()
+	if err := <-written; err != nil {
+		t.Fatal(err)
+	}
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	rep := p.Report() // barriers on the queue
 	_, records, _, _ := p.Stats()
-	if want := int64(frames * 2); records != want {
+	if want := int64(segments * framesPerSeg * 2); records != want {
 		t.Fatalf("applied %d records, want %d", records, want)
 	}
 	if stalls := p.stalls.Load(); stalls == 0 {
 		t.Fatal("stall counter reset unexpectedly")
 	}
-	_ = rep
 }
 
 // TestDiagnosticFrameDropsFreedEntries pins the proc's interval rule
-// through the apply queue: after a diagnostic frame the snapshot is the
+// through its locked frame handler: after a diagnostic frame the snapshot is the
 // interval it ended (freed entry included, also past a clock frame),
 // and once any state-changing frame follows, no freed entry is left in
 // the proc's table.
@@ -172,10 +163,8 @@ func TestDiagnosticFrameDropsFreedEntries(t *testing.T) {
 	for name, frame := range next {
 		t.Run(name, func(t *testing.T) {
 			g := New()
-			defer g.Close()
 			p := g.proc(wire.Hello{Tenant: "t", Process: name, Platform: "Intel+Pascal"})
-			fd := wire.NewFrameDecoder(nil, g.streamHandler(p))
-			fd.SetBatchPool(g.batches)
+			fd := wire.NewFrameDecoder(nil, p.h)
 			if err := fd.DecodePayload(prefix); err != nil {
 				t.Fatal(err)
 			}
@@ -185,7 +174,6 @@ func TestDiagnosticFrameDropsFreedEntries(t *testing.T) {
 			if err := fd.DecodePayload(frame); err != nil {
 				t.Fatal(err)
 			}
-			drainProc(p)
 			for _, e := range p.pl.Table().Entries() {
 				if e.Freed && e.AllocID == 2 {
 					t.Fatalf("freed entry %q survived a diagnostic frame and a %s frame", e.Label, name)

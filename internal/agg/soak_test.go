@@ -55,9 +55,9 @@ func captureStream(t *testing.T, tenant, process string) []byte {
 // poller goroutines hit /snapshot, /perfetto, /tenants, and /metrics the
 // whole time — some polls forcing exact snapshots. Every response must
 // be well-formed, and with a short snapshot max-age no request may take
-// pathologically long (readers never wait on more than one queue drain
-// plus one report build). Run under -race in CI, this is the pin on the
-// snapshot path's freedom from apply-path locks.
+// pathologically long (a reader waits only for the frames and report
+// builds holding its proc's lock, never for an ingest backlog). Run
+// under -race in CI, this is the pin on the snapshot path's locking.
 func TestSnapshotSoak(t *testing.T) {
 	const streams = 8
 	g := agg.New(agg.WithSnapshotMaxAge(50 * time.Millisecond))
@@ -122,7 +122,7 @@ func TestSnapshotSoak(t *testing.T) {
 				id := idents[(w+n)%len(idents)]
 				target := fmt.Sprintf("/snapshot?tenant=%s&process=%s", id.tenant, id.process)
 				if n%7 == 0 {
-					target += "&fresh=1" // exact path: barrier through the queue
+					target += "&fresh=1" // exact path: built under the proc's lock
 				}
 				if n%3 == 1 {
 					target = fmt.Sprintf("/perfetto?tenant=%s&process=%s", id.tenant, id.process)
@@ -161,12 +161,11 @@ func TestSnapshotSoak(t *testing.T) {
 	close(stop)
 	polling.Wait()
 	ingesting.Wait()
-	g.Close()
 
 	if rounds.Load() < int64(streams) || polls.Load() == 0 {
 		t.Fatalf("soak did no work: %d ingest rounds, %d polls", rounds.Load(), polls.Load())
 	}
-	// Post-close accounting: totals reflect every round that completed.
+	// Totals reflect every round that completed.
 	_, _, batches, records, _, crcErrs, decodeErrs := g.Totals()
 	if batches == 0 || records == 0 {
 		t.Fatalf("no data applied: %d batches, %d records", batches, records)

@@ -63,6 +63,7 @@ import (
 	"go/types"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // Options configures the pass.
@@ -203,7 +204,7 @@ func check(fset *token.FileSet, files []*ast.File) (*types.Info, error) {
 	}
 	var typeErrs []error
 	conf := types.Config{
-		Importer: importer.ForCompiler(fset, "source", nil),
+		Importer: sourceImporter,
 		Error: func(err error) {
 			if strings.Contains(err.Error(), "imported and not used") {
 				return
@@ -216,6 +217,30 @@ func check(fset *token.FileSet, files []*ast.File) (*types.Info, error) {
 		return nil, fmt.Errorf("instr: typecheck: %w", typeErrs[0])
 	}
 	return info, nil
+}
+
+// sourceImporter is the one source importer of the process. It caches
+// every package it type-checks, so each import is checked from source
+// once, not on every call. Its FileSet is its own, since a caller's lives
+// for one call; the mutex is there because the importer is not safe for
+// concurrent use.
+var sourceImporter = &lockedImporter{
+	imp: importer.ForCompiler(token.NewFileSet(), "source", nil).(types.ImporterFrom),
+}
+
+type lockedImporter struct {
+	mu  sync.Mutex
+	imp types.ImporterFrom
+}
+
+func (l *lockedImporter) Import(path string) (*types.Package, error) {
+	return l.ImportFrom(path, ".", 0)
+}
+
+func (l *lockedImporter) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.imp.ImportFrom(path, dir, mode)
 }
 
 // rewriteOne instruments one already-checked file and prints it.

@@ -216,62 +216,14 @@ func (s *sreader) str(what string) (string, error) {
 	return v, nil
 }
 
-// BatchPool recycles decoded batch slices between a decoder and the
-// consumer that applies them, so a pipelined receiver — one that hands
-// decoded batches to another goroutine instead of applying them inline —
-// pays zero steady-state allocation per batch frame. The freelist is a
-// bounded channel rather than a sync.Pool: a GC cycle cannot empty it,
-// so the zero-alloc property is deterministic after warmup, and its
-// capacity bounds the recycled memory exactly.
-//
-// Ownership protocol: the decoder Gets a slice per batch frame and the
-// Handler.Batch callback takes ownership; whoever finishes with the
-// batch must Put it back (or drop it — Put never blocks and Get falls
-// back to allocating).
-type BatchPool struct {
-	free chan []shadow.Access
-}
-
-// NewBatchPool returns a pool retaining at most size idle batch slices,
-// each of capacity MaxFrameRecords.
-func NewBatchPool(size int) *BatchPool {
-	if size < 1 {
-		size = 1
-	}
-	return &BatchPool{free: make(chan []shadow.Access, size)}
-}
-
-// Get returns an empty batch slice with capacity MaxFrameRecords.
-func (p *BatchPool) Get() []shadow.Access {
-	select {
-	case b := <-p.free:
-		return b[:0]
-	default:
-		return make([]shadow.Access, 0, MaxFrameRecords)
-	}
-}
-
-// Put recycles a batch slice obtained from Get. Undersized or surplus
-// slices are dropped.
-func (p *BatchPool) Put(b []shadow.Access) {
-	if cap(b) < MaxFrameRecords {
-		return
-	}
-	select {
-	case p.free <- b[:0]:
-	default:
-	}
-}
-
 // FrameDecoder decodes the frames of one segment payload (no header, no
-// segment framing; ReadStream handles those). Without a batch pool, the
-// slice passed to Handler.Batch is reused between frames and must not be
-// retained; with SetBatchPool, every batch frame decodes into a fresh
-// pooled slice the handler owns.
+// segment framing; ReadStream handles those) and dispatches each frame to
+// its Handler as soon as it is decoded. The slice passed to Handler.Batch
+// is reused for the next batch frame, so a handler applies the batch
+// before it returns and does not retain it.
 type FrameDecoder struct {
 	h     Handler
 	batch []shadow.Access
-	pool  *BatchPool
 }
 
 // NewFrameDecoder returns a decoder dispatching to h. Frames are decoded
@@ -280,13 +232,6 @@ type FrameDecoder struct {
 func NewFrameDecoder(_ Reader, h Handler) *FrameDecoder {
 	return &FrameDecoder{h: h}
 }
-
-// SetBatchPool switches the decoder to pooled-batch mode: each batch
-// frame decodes into a slice taken from pool, and Handler.Batch takes
-// ownership of it (the consumer recycles it with pool.Put once applied).
-// This is what lets a receiver enqueue decoded batches for another
-// goroutine without copying them first.
-func (d *FrameDecoder) SetBatchPool(pool *BatchPool) { d.pool = pool }
 
 // DecodePayload decodes a complete in-memory frame sequence (a segment
 // payload). A frame truncated by the end of the buffer is
@@ -449,28 +394,12 @@ func (d *FrameDecoder) decodeBatch(s *sreader) error {
 	if n > MaxFrameRecords {
 		return fmt.Errorf("wire: batch frame of %d records exceeds %d", n, MaxFrameRecords)
 	}
-	var batch []shadow.Access
-	if d.pool != nil {
-		batch = d.pool.Get()
-	} else {
-		if d.batch == nil {
-			d.batch = make([]shadow.Access, 0, MaxFrameRecords)
-		}
-		batch = d.batch[:0]
+	if d.batch == nil {
+		d.batch = make([]shadow.Access, 0, MaxFrameRecords)
 	}
+	batch := d.batch[:0]
 	if err := decodeRecords(s, &batch, n); err != nil {
-		if d.pool != nil {
-			d.pool.Put(batch) // failed frame: the handler never saw the slice
-		}
 		return err
-	}
-	if d.pool != nil {
-		if d.h.Batch != nil {
-			d.h.Batch(batch) // handler owns the pooled slice now
-		} else {
-			d.pool.Put(batch)
-		}
-		return nil
 	}
 	d.batch = batch
 	if d.h.Batch != nil {

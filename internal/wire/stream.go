@@ -123,17 +123,14 @@ func decodeBye(payload []byte) (Bye, error) {
 }
 
 // StreamHandler receives a decoded stream. Hello is called once, first;
-// the Handler it returns consumes the stream's frames (a tenant-routing
-// receiver picks per-process state here). Bye, if non-nil, receives the
-// closing totals.
+// the Handler it returns consumes the stream's frames, each dispatched
+// as soon as it is decoded on the goroutine calling ReadStream (a
+// tenant-routing receiver picks per-process state here, and a handler
+// that blocks stalls the stream). Bye, if non-nil, receives the closing
+// totals.
 type StreamHandler struct {
 	Hello func(h Hello) (Handler, error)
 	Bye   func(b Bye)
-	// Batches, when non-nil, puts the stream's frame decoder in
-	// pooled-batch mode (see FrameDecoder.SetBatchPool): Handler.Batch
-	// owns each decoded batch and the consumer recycles it after apply.
-	// Required for pipelined receivers that apply on another goroutine.
-	Batches *BatchPool
 }
 
 // payloadPool recycles segment scratch buffers across ReadStream calls,
@@ -211,9 +208,6 @@ func ReadStream(r Reader, h StreamHandler) error {
 				}
 			}
 			fd = NewFrameDecoder(nil, fh)
-			if h.Batches != nil {
-				fd.SetBatchPool(h.Batches)
-			}
 			seenHelo = true
 		case SegFrames:
 			if !seenHelo {
