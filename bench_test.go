@@ -29,6 +29,7 @@ import (
 	"xplacer/internal/pattern"
 	"xplacer/internal/record"
 	"xplacer/internal/shadow"
+	"xplacer/internal/trace"
 	"xplacer/xplrt"
 )
 
@@ -298,6 +299,50 @@ func BenchmarkSlotRecord(b *testing.B) {
 		xplrt.Flush()
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns_per_access")
 	})
+}
+
+// BenchmarkTracerRecord measures trace.Tracer's two recording paths on
+// LULESH's interleaved shape, x[i] = y[i] + z[i] over three managed
+// arrays, drains into the shadow table included. Slot records through
+// Tracer.TraceAccess, the engine's shared per-P slots that concurrent
+// callers use; Sequential through the view a cuda.Context records
+// through, one single-owner slot with no lock. Both are called as a
+// cuda.Tracer, as the simulator calls them. The metric is ns per traced
+// access.
+func BenchmarkTracerRecord(b *testing.B) {
+	const n = 1 << 16
+	for _, c := range []struct {
+		name string
+		view func(*trace.Tracer) cuda.Tracer
+	}{
+		{"Slot", func(t *trace.Tracer) cuda.Tracer { return t }},
+		{"Sequential", (*trace.Tracer).Sequential},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			tr := trace.New()
+			sp := memsim.NewSpace(4096)
+			var arrays [3]*memsim.Alloc
+			for i, label := range [...]string{"x", "y", "z"} {
+				a, err := sp.Alloc(n*8, memsim.Managed, label)
+				if err != nil {
+					b.Fatal(err)
+				}
+				tr.TraceAlloc(a)
+				arrays[i] = a
+			}
+			x, y, z := arrays[0], arrays[1], arrays[2]
+			v := c.view(tr)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				off := memsim.Addr(8 * (i & (n - 1)))
+				v.TraceAccess(machine.GPU, y, y.Base+off, 8, memsim.Read)
+				v.TraceAccess(machine.GPU, z, z.Base+off, 8, memsim.Read)
+				v.TraceAccess(machine.GPU, x, x.Base+off, 8, memsim.Write)
+			}
+			tr.Flush()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(3*b.N), "ns_per_access")
+		})
+	}
 }
 
 // simAccessSink keeps BenchmarkSimAccess's loaded values live.

@@ -43,9 +43,6 @@ var equivApps = []struct {
 			t.Fatal(err)
 		}
 	}},
-	// Its parallel kernels drain in a different order from run to run,
-	// so batch cuts and record order vary between the two sessions; only
-	// the report must not.
 	{"lulesh-mp", func(t *testing.T, s *core.Session) {
 		if _, err := lulesh.RunMultiPhase(s, lulesh.MultiPhaseConfig{Elems: 4096, Cycles: 2, SolveSteps: 16, AnalysisSteps: 4}); err != nil {
 			t.Fatal(err)
@@ -97,11 +94,10 @@ func inProcess(t *testing.T, name string, run func(*testing.T, *core.Session)) (
 	return s.Reports(), withoutTimeline(t, r, "default/"+name)
 }
 
-// streamed traces the same app through a wire.StreamSink. It replays
-// the captured stream through a reader pipeline, checking at each
-// diagnostic frame that the pipeline holds the report of that
-// diagnostic, and returns the aggregator's snapshot of the stream.
-func streamed(t *testing.T, name string, run func(*testing.T, *core.Session), reports []diag.Report) []byte {
+// capture traces the app through a block-policy wire.StreamSink with an
+// end-of-run diagnostic and returns the captured stream and the number
+// of records the sink sent.
+func capture(t *testing.T, name string, run func(*testing.T, *core.Session)) (stream []byte, sent int64) {
 	t.Helper()
 	plat, err := machine.ByName("Intel+Pascal")
 	if err != nil {
@@ -129,6 +125,21 @@ func streamed(t *testing.T, name string, run func(*testing.T, *core.Session), re
 	if segs, recs, _ := ss.Dropped(); segs != 0 {
 		t.Fatalf("block-policy stream dropped %d segments (%d records)", segs, recs)
 	}
+	_, sent = ss.Counts()
+	return captured.Bytes(), sent
+}
+
+// streamed traces the same app through a wire.StreamSink. It replays
+// the captured stream through a reader pipeline, checking at each
+// diagnostic frame that the pipeline holds the report of that
+// diagnostic, and returns the aggregator's snapshot of the stream.
+func streamed(t *testing.T, name string, run func(*testing.T, *core.Session), reports []diag.Report) []byte {
+	t.Helper()
+	plat, err := machine.ByName("Intel+Pascal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	captured, sent := capture(t, name, run)
 
 	reader := pipeline.New()
 	h := reader.Handler()
@@ -143,7 +154,7 @@ func streamed(t *testing.T, name string, run func(*testing.T, *core.Session), re
 		}
 		seen++
 	}
-	err = wire.ReadStream(bytes.NewReader(captured.Bytes()), wire.StreamHandler{
+	err = wire.ReadStream(bytes.NewReader(captured), wire.StreamHandler{
 		Hello: func(wire.Hello) (wire.Handler, error) { return h, nil },
 	})
 	if err != nil {
@@ -154,7 +165,7 @@ func streamed(t *testing.T, name string, run func(*testing.T, *core.Session), re
 	}
 
 	g := agg.New()
-	if err := g.Ingest(bytes.NewReader(captured.Bytes())); err != nil {
+	if err := g.Ingest(bytes.NewReader(captured)); err != nil {
 		t.Fatal(err)
 	}
 	p := g.Find("default", name)
@@ -165,7 +176,6 @@ func streamed(t *testing.T, name string, run func(*testing.T, *core.Session), re
 	// exact for the whole stream.
 	rep := p.Report()
 	_, records, _, clientDropped := p.Stats()
-	_, sent := ss.Counts()
 	if records != sent {
 		t.Fatalf("aggregator applied %d records, client sent %d", records, sent)
 	}
@@ -238,5 +248,21 @@ func TestTwoStreamsOneAggregator(t *testing.T) {
 			t.Fatalf("fleet/%s snapshot incomplete: %d allocs, heatmap %v, patterns %v",
 				app.name, len(rep.Allocs), rep.Heatmap != nil, rep.Patterns != nil)
 		}
+	}
+}
+
+// TestStreamsDeterministic captures each app's stream twice, at the
+// test's GOMAXPROCS, and requires identical bytes: batch cuts, record
+// order and clock-frame positions included. A simulated session records
+// through one single-owner slot, so its cuts cannot depend on which P
+// the recording goroutine runs on.
+func TestStreamsDeterministic(t *testing.T) {
+	for _, app := range equivApps {
+		t.Run(app.name, func(t *testing.T) {
+			first, _ := capture(t, app.name, app.run)
+			if second, _ := capture(t, app.name, app.run); !bytes.Equal(first, second) {
+				t.Fatalf("two captures differ: %d and %d bytes", len(first), len(second))
+			}
+		})
 	}
 }

@@ -3,6 +3,12 @@
 // diagnostic configuration — the pieces a user of the original tool gets
 // from including the XPlacer header, linking the runtime library, and
 // adding #pragma xpl diagnostic points (paper §III-D).
+//
+// The simulation is sequential: a context runs every kernel body on the
+// caller's goroutine. So an instrumented session installs its tracer's
+// Sequential view on the context, and every traced access appends to one
+// single-owner slot with no lock; the session's diagnostics and the
+// tracer's other flush points drain it on the same goroutine.
 package core
 
 import (
@@ -23,7 +29,9 @@ type Session struct {
 	// through.
 	Ctx *cuda.Context
 	// Tracer is the instrumentation runtime; nil when the session is
-	// uninstrumented (the "original version" of Table III).
+	// uninstrumented (the "original version" of Table III). Ctx records
+	// through its Sequential view, so use it from the goroutine that
+	// drives Ctx.
 	Tracer *trace.Tracer
 	// Opt holds the anti-pattern detector thresholds.
 	Opt detect.Options
@@ -96,7 +104,7 @@ func newSession(plat *machine.Platform, cfg Config) (*Session, error) {
 	}
 	if cfg.Instrument {
 		s.Tracer = trace.New()
-		ctx.SetTracer(s.Tracer)
+		ctx.SetTracer(s.Tracer.Sequential())
 	}
 	return s, nil
 }

@@ -38,12 +38,24 @@
 // a record of its own. Kind counts are derived from the drained records,
 // not bumped per access.
 //
-// A Buffer is the still-cheaper variant for single-owner
-// (goroutine-private) recording, used by xplrt's DeviceScope: it needs
+// The slots serve concurrent callers: scope-less xplrt accesses and
+// direct trace.Tracer.TraceAccess calls. Two single-owner recorders need
 // neither slot selection nor stamps, because one owner appending in
-// program order and applying the whole buffer as one batch is already
-// ordered. It coalesces with the same rule. Neither path touches a sink
-// until a buffer fills or a flush point is reached.
+// program order and applying its batch in one piece is already ordered,
+// and both coalesce with the same rule:
+//
+//   - An OwnedSlot is the simulated runtime's recorder
+//     (trace.Tracer.Sequential; its kernels run on the caller's
+//     goroutine). It drains where one shared slot would for a lone
+//     recorder — the drain rule (fillDue, runDue) and the range
+//     normalization (recordRange) are the slots' own — so its batches
+//     are the ones a lone slot cuts, without the slot lock, the unlocking
+//     store or the stamp load per access.
+//   - A Buffer, used by xplrt's DeviceScope, drains only when full or
+//     flushed, so even multi-line runs stay batched in it.
+//
+// No path touches a sink until a buffer fills, a multi-line run is
+// recorded through a slot, or a flush point is reached.
 //
 // # Occupied-slot sweep
 //
@@ -84,8 +96,8 @@
 //     Record stream applies in the order the stamps were taken.)
 //  2. Flush drains every occupied slot; after it returns, everything
 //     recorded through Record before the call is visible to the sinks.
-//  3. A Buffer drain flushes the shared slots first, so accesses
-//     recorded through Record before a buffer section (e.g. CPU
+//  3. A Buffer or OwnedSlot drain flushes the shared slots first, so
+//     accesses recorded through Record before a buffer section (e.g. CPU
 //     initialization preceding a GPU scope) apply before the buffer's
 //     own batch.
 //  4. Sink applications are serialized by the engine's lock; front ends
@@ -156,17 +168,84 @@ func setScalar(a *shadow.Access, dev machine.Device, addr memsim.Addr, size int6
 	a.Count, a.Stride = 0, 0
 }
 
-// extendRun is the append-time coalescing rule both recording paths
-// share: a scalar access that contiguously continues record p — same
+// setRun writes one encodable run (see Engine.recordRun) into a, field
+// by field for the reason setScalar gives.
+func setRun(a *shadow.Access, dev machine.Device, base memsim.Addr, count int, stride, size int64, kind memsim.AccessKind) {
+	a.Dev, a.Kind, a.Size = dev, kind, clampSize(size)
+	a.Addr = base
+	a.Count, a.Stride = int32(count), int32(stride)
+}
+
+// The drain rule of one slot, shared by the engine's slots and OwnedSlot
+// so that both cut batches at the same calls. A slot drains once it has
+// taken slotCap Record and recordRun calls since its last drain (fillDue;
+// calls, not records, so a coalesced scalar counts like a record of its
+// own), right after a run that spans more than one 64-byte line (runDue),
+// and at every flush point its owner reaches.
+
+// fillDue reports whether a slot that has taken calls calls since its
+// last drain is full.
+func fillDue(calls int) bool { return calls >= slotCap }
+
+// runDue reports whether a slot must drain right after a run covering
+// span bytes from base, its calls-th call since the last drain.
+func runDue(calls int, base memsim.Addr, span int64) bool {
+	return fillDue(calls) || uint64(base)>>lineShift != (uint64(base)+uint64(span-1))>>lineShift
+}
+
+// runRecorder is a recorder that drains like one slot: the engine's
+// shared slots and OwnedSlot. recordRange drives it.
+type runRecorder interface {
+	Record(dev machine.Device, addr memsim.Addr, size int64, kind memsim.AccessKind)
+	recordRun(dev machine.Device, base memsim.Addr, count int, stride, size int64, kind memsim.AccessKind)
+}
+
+// recordRange is the range normalization of every recorder that drains
+// like one slot: count elements of size bytes, the k-th at base +
+// k*stride, become Record and recordRun calls. A negative stride
+// (descending sweep) is flipped: it touches the same words, and within
+// one range all elements share device and kind, so the per-word shadow
+// result is identical. A one-element range is a scalar record; a stride
+// too wide for the 32-bit run encoding (never hit by real element
+// sweeps) degrades to one scalar per element; and a range longer than
+// maxRun elements splits into runs, each a call of its own.
+func recordRange(r runRecorder, dev machine.Device, base memsim.Addr, count int, stride, size int64, kind memsim.AccessKind) {
+	if count <= 0 || size <= 0 {
+		return
+	}
+	if stride < 0 {
+		base += memsim.Addr(int64(count-1) * stride)
+		stride = -stride
+	}
+	if count == 1 {
+		r.Record(dev, base, size, kind)
+		return
+	}
+	if stride > maxRun {
+		for k := 0; k < count; k++ {
+			r.Record(dev, base+memsim.Addr(int64(k)*stride), size, kind)
+		}
+		return
+	}
+	for count > maxRun {
+		r.recordRun(dev, base, maxRun, stride, size, kind)
+		base += memsim.Addr(int64(maxRun) * stride)
+		count -= maxRun
+	}
+	r.recordRun(dev, base, count, stride, size, kind)
+}
+
+// extendRun is the append-time coalescing rule every recording path
+// shares: a scalar access that contiguously continues record p — same
 // device, kind and element size, starting exactly where p's coverage
 // ends — grows p's run count instead of becoming a record of its own,
 // and extendRun reports whether it did. The caller has checked the
 // start: each path keeps the end of its last record's last element
-// (Buffer.next, pslot.next), so an access elsewhere — a random gather —
-// costs one compare and never loads the record. Only gapless
-// shapes grow: a scalar, or a contiguous (stride == size) run below
-// maxRun elements; a gapped run's next element would not start at its
-// end. A sweep of N contiguous elements then occupies one RLE record
+// (Buffer.next, pslot.next, OwnedSlot.next), so an access elsewhere — a
+// random gather — costs one compare and never loads the record. Only
+// gapless shapes grow: a scalar, or a contiguous (stride == size) run
+// below maxRun elements; a gapped run's next element would not start at
+// its end. A sweep of N contiguous elements then occupies one RLE record
 // instead of N scalars. Exact per word: a contiguous run replays element
 // by element with one device and kind (shadow.Entry.recordRange,
 // HeatmapSink.countPiece, pattern.Tracker.NoteRun), so per-word results and
@@ -346,7 +425,7 @@ func (e *Engine) lockSlot() *pslot {
 				}
 				e.mark(uint64(1) << i)
 				return s
-			case s.calls < slotCap:
+			case !fillDue(s.calls):
 				return s
 			}
 			s.unlock()
@@ -393,7 +472,7 @@ func (e *Engine) Record(dev machine.Device, addr memsim.Addr, size int64, kind m
 	}
 	s.next = addr + memsim.Addr(size)
 	s.calls++
-	full := s.calls >= slotCap
+	full := fillDue(s.calls)
 	s.unlock()
 	if full {
 		e.Flush()
@@ -402,36 +481,13 @@ func (e *Engine) Record(dev machine.Device, addr memsim.Addr, size int64, kind m
 
 // RecordRange buffers a strided sweep — count elements of size bytes, the
 // k-th starting at base + k*stride — as a single run-length-encoded
-// record instead of count scalar records. Safe for concurrent callers. A
-// negative stride (descending sweep) is normalized: it touches the same
-// words, and within one range all elements share device and kind, so the
-// per-word shadow result is identical.
+// record instead of count scalar records, normalized by recordRange.
+// Safe for concurrent callers.
 func (e *Engine) RecordRange(dev machine.Device, base memsim.Addr, count int, stride, size int64, kind memsim.AccessKind) {
-	if e.disabled.Load() || count <= 0 || size <= 0 {
+	if e.disabled.Load() {
 		return
 	}
-	if stride < 0 {
-		base += memsim.Addr(int64(count-1) * stride)
-		stride = -stride
-	}
-	if count == 1 {
-		e.Record(dev, base, size, kind)
-		return
-	}
-	if stride > maxRun {
-		// Stride too wide for the 32-bit run encoding (never hit by real
-		// element sweeps); degrade to scalar records.
-		for k := 0; k < count; k++ {
-			e.Record(dev, base+memsim.Addr(int64(k)*stride), size, kind)
-		}
-		return
-	}
-	for count > maxRun {
-		e.recordRun(dev, base, maxRun, stride, size, kind)
-		base += memsim.Addr(int64(maxRun) * stride)
-		count -= maxRun
-	}
-	e.recordRun(dev, base, count, stride, size, kind)
+	recordRange(e, dev, base, count, stride, size, kind)
 }
 
 // recordRun buffers one encodable run (1 <= count <= maxRun, 0 <= stride
@@ -448,18 +504,14 @@ func (e *Engine) recordRun(dev machine.Device, base memsim.Addr, count int, stri
 	s := e.lockSlot()
 	q, _ := s.stamp(&e.seq)
 	n := s.n
-	a := &s.buf[n]
-	a.Dev, a.Kind, a.Size = dev, kind, clampSize(size)
-	a.Addr = base
-	a.Count, a.Stride = int32(count), int32(stride)
+	setRun(&s.buf[n], dev, base, count, stride, size, kind)
 	s.seq[n] = q
 	s.n = n + 1
 	s.next = base + memsim.Addr(span)
 	s.calls++
-	full := s.calls >= slotCap
-	multiLine := uint64(base)>>lineShift != (uint64(base)+uint64(span-1))>>lineShift
+	due := runDue(s.calls, base, span)
 	s.unlock()
-	if full || multiLine {
+	if due {
 		e.Flush()
 	}
 }
@@ -732,10 +784,96 @@ func (b *Buffer) Flush() {
 	if len(b.buf) == 0 {
 		return
 	}
-	b.e.Flush()
-	b.e.tally(b.buf)
-	b.e.mu.Lock()
-	b.e.applyLocked(b.buf)
-	b.e.mu.Unlock()
+	b.e.applyOwned(b.buf)
 	b.buf = b.buf[:0]
+}
+
+// applyOwned drains a single-owner batch (a Buffer's or an OwnedSlot's):
+// the shared slots flush first (ordering guarantee 3), then the batch is
+// tallied and applies under the engine lock like any sweep.
+func (e *Engine) applyOwned(batch []shadow.Access) {
+	e.Flush()
+	e.tally(batch)
+	e.mu.Lock()
+	e.applyLocked(batch)
+	e.mu.Unlock()
+}
+
+// OwnedSlot is a single-owner slot: it records, coalesces and drains
+// exactly as one of the engine's shared slots does while its recorder is
+// the engine's only one, with no slot lock, no order stamps and no
+// atomic beyond the recording switch. Its batches are cut where that
+// slot's would be: after slotCap Record and recordRun calls since its
+// last drain, right after a multi-line run, and at every Flush. Ranges
+// normalize and split as Engine.RecordRange's do. Unlike a Buffer, it
+// drains multi-line runs at record time, so clock-driven sinks attribute
+// them where the shared slots would.
+//
+// Record, RecordRange and Flush must be called by one goroutine at a
+// time. The engine does not know the slot: Engine.Flush, Counts and
+// AddSink leave its records buffered, so its owner drains it at each of
+// its own flush points. Like a Buffer drain, its drain flushes the shared
+// slots before applying its own batch (ordering guarantee 3); accesses
+// it records interleave with the shared Record stream only at those
+// boundaries. The simulated runtime records through one
+// (trace.Tracer.Sequential): its kernels run on the caller's goroutine.
+type OwnedSlot struct {
+	e        *Engine
+	n, calls int
+	// next is where an access must start to continue the last record:
+	// the end of its last element.
+	next memsim.Addr
+	buf  []shadow.Access
+}
+
+// NewOwnedSlot returns an empty single-owner slot draining into e.
+func (e *Engine) NewOwnedSlot() *OwnedSlot {
+	return &OwnedSlot{e: e, buf: make([]shadow.Access, slotCap)}
+}
+
+// Record appends one access, growing the previous record instead when
+// the access contiguously continues it (extendRun), and drains once the
+// slot has taken slotCap calls.
+func (s *OwnedSlot) Record(dev machine.Device, addr memsim.Addr, size int64, kind memsim.AccessKind) {
+	if s.e.disabled.Load() {
+		return
+	}
+	if n := s.n; n == 0 || addr != s.next || !extendRun(&s.buf[n-1], dev, size, kind) {
+		setScalar(&s.buf[n], dev, addr, size, kind)
+		s.n = n + 1
+	}
+	s.next = addr + memsim.Addr(size)
+	s.calls++
+	if fillDue(s.calls) {
+		s.Flush()
+	}
+}
+
+// RecordRange appends a strided sweep as Engine.RecordRange does.
+func (s *OwnedSlot) RecordRange(dev machine.Device, base memsim.Addr, count int, stride, size int64, kind memsim.AccessKind) {
+	if s.e.disabled.Load() {
+		return
+	}
+	recordRange(s, dev, base, count, stride, size, kind)
+}
+
+// recordRun appends one encodable run, as Engine.recordRun does.
+func (s *OwnedSlot) recordRun(dev machine.Device, base memsim.Addr, count int, stride, size int64, kind memsim.AccessKind) {
+	span := int64(count-1)*stride + size
+	setRun(&s.buf[s.n], dev, base, count, stride, size, kind)
+	s.n++
+	s.next = base + memsim.Addr(span)
+	s.calls++
+	if runDue(s.calls, base, span) {
+		s.Flush()
+	}
+}
+
+// Flush drains the slot into the sinks, the shared slots first.
+func (s *OwnedSlot) Flush() {
+	if s.n == 0 {
+		return
+	}
+	s.e.applyOwned(s.buf[:s.n])
+	s.n, s.calls = 0, 0
 }

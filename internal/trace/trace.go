@@ -8,8 +8,8 @@
 // The tracer deliberately performs its own address-to-allocation lookup on
 // every access — the same SMT search the paper's prototype does — so the
 // instrumentation overhead characteristics of Table III carry over. The
-// per-P buffering and batch-drain machinery that keeps that lookup
-// off the per-access critical path lives in the shared recording engine
+// buffering and batch-drain machinery that keeps that lookup off the
+// per-access critical path lives in the shared recording engine
 // (internal/record), and the analysis state the drained batches and the
 // wrappers' events apply to — the shadow table, the optional heat map
 // and pattern classifier, the attached wire streams — is a
@@ -19,14 +19,22 @@
 // when a kernel launch is a drain point. A diagnostic point crosses the
 // wire like any event, so a stream reader's snapshot of a finished run
 // is its last diagnostic's report (concurrent streams under one reader
-// key end each other's intervals). What concurrent simulated kernels may
-// assume is documented once, in package record.
+// key end each other's intervals).
+//
+// Accesses reach the engine two ways. The simulated runtime runs every
+// kernel on the caller's goroutine, so core installs the Sequential view
+// on each session's context: it records through a single-owner
+// record.OwnedSlot, which cuts the batches one engine slot would, with no
+// slot lock per access. Tracer.TraceAccess and TraceAccessRange record
+// through the engine's shared slots and are safe for concurrent callers;
+// what those callers may assume is documented once, in package record.
 package trace
 
 import (
 	"fmt"
 	"sync/atomic"
 
+	"xplacer/internal/cuda"
 	"xplacer/internal/detect"
 	"xplacer/internal/diag"
 	"xplacer/internal/machine"
@@ -58,12 +66,20 @@ type Stats struct {
 
 // Tracer records memory operations into shadow memory through the shared
 // recording engine. The zero value is not usable; call New. TraceAccess
-// may be called from concurrent goroutines (parallel simulated kernels);
+// and TraceAccessRange may be called from concurrent goroutines;
 // diagnostics and the other wrappers flush the access buffers before
 // touching the table.
+//
+// The Sequential view's recording and the Tracer's flush points (Flush,
+// Table, Pipeline, Stats, Diagnostic, AddSink, EnablePatterns,
+// EnableStream and the TraceFree, TraceTransfer and draining
+// TraceKernelLaunch wrappers) must run on one goroutine at a time, as a
+// cuda.Context calls them: each flush point drains the view's slot.
 type Tracer struct {
 	pl  *pipeline.Pipeline
 	eng *record.Engine
+	// seq is the single-owner slot the Sequential view records through.
+	seq *record.OwnedSlot
 
 	// Wrapper event counters; element-access kind counts live in the
 	// engine, untracked counts in the pipeline.
@@ -73,18 +89,44 @@ type Tracer struct {
 // New creates an enabled tracer with an empty shadow memory table.
 func New() *Tracer {
 	pl := pipeline.New()
-	return &Tracer{pl: pl, eng: record.NewEngine(pl)}
+	eng := record.NewEngine(pl)
+	return &Tracer{pl: pl, eng: eng, seq: eng.NewOwnedSlot()}
+}
+
+// Sequential returns the view of the tracer a cuda.Context records
+// through: its TraceAccess and TraceAccessRange append to the tracer's
+// single-owner slot, which drains where one engine slot would for a lone
+// recorder, with no slot lock; its other hooks are the Tracer's. Record
+// through it from one goroutine at a time, the one that also reaches the
+// Tracer's flush points (see Tracer).
+func (t *Tracer) Sequential() cuda.Tracer { return sequential{t} }
+
+// sequential is the Sequential view. It embeds the Tracer for the
+// wrappers and overrides the two access hooks.
+type sequential struct{ *Tracer }
+
+// TraceAccess implements cuda.Tracer through the single-owner slot.
+func (v sequential) TraceAccess(dev machine.Device, _ *memsim.Alloc, addr memsim.Addr, size int64, kind memsim.AccessKind) {
+	v.seq.Record(dev, addr, size, kind)
+}
+
+// TraceAccessRange implements cuda.Tracer through the single-owner slot.
+func (v sequential) TraceAccessRange(dev machine.Device, _ *memsim.Alloc, addr memsim.Addr, count int, stride, size int64, kind memsim.AccessKind) {
+	v.seq.RecordRange(dev, addr, count, stride, size, kind)
 }
 
 // AddSink attaches an additional observer (e.g. a record.HeatmapSink) to
 // the tracer's engine; it sees every batch drained from now on.
-func (t *Tracer) AddSink(s record.Sink) { t.eng.AddSink(s) }
+func (t *Tracer) AddSink(s record.Sink) {
+	t.seq.Flush()
+	t.eng.AddSink(s)
+}
 
 // Table flushes buffered accesses and exposes the shadow memory table for
 // diagnostics. The table itself is not goroutine-safe: callers must not
 // use it while simulated kernels are still tracing.
 func (t *Tracer) Table() *shadow.Table {
-	t.eng.Flush()
+	t.Flush()
 	return t.pl.Table()
 }
 
@@ -92,14 +134,14 @@ func (t *Tracer) Table() *shadow.Table {
 // pipeline. Like Table, it is not goroutine-safe: attach analyses and
 // streams to it before recording starts, and read them after the run.
 func (t *Tracer) Pipeline() *pipeline.Pipeline {
-	t.eng.Flush()
+	t.Flush()
 	return t.pl
 }
 
 // Diagnostic flushes buffered accesses and runs the pipeline's
 // diagnostic point (analyze, reset, forward) under the engine lock.
 func (t *Tracer) Diagnostic(title string, opt detect.Options) (r diag.Report) {
-	t.eng.Flush()
+	t.Flush()
 	t.eng.Locked(func() { r = t.pl.Diagnostic(title, opt) })
 	return r
 }
@@ -107,7 +149,7 @@ func (t *Tracer) Diagnostic(title string, opt detect.Options) (r diag.Report) {
 // Stats flushes buffered accesses and returns cumulative instrumentation
 // statistics.
 func (t *Tracer) Stats() Stats {
-	t.eng.Flush()
+	t.Flush()
 	c := t.eng.Counts()
 	return Stats{
 		Reads:        c.Reads,
@@ -130,9 +172,14 @@ func (t *Tracer) SetEnabled(on bool) { t.eng.SetEnabled(on) }
 // Enabled reports whether access recording is active.
 func (t *Tracer) Enabled() bool { return t.eng.Enabled() }
 
-// Flush drains every buffered access into the shadow table. Table() and
-// Stats() flush implicitly, as do the free and transfer wrappers.
-func (t *Tracer) Flush() { t.eng.Flush() }
+// Flush drains every buffered access into the shadow table: the
+// Sequential view's slot first (its drain flushes the shared slots before
+// its own batch), then the shared slots again for what concurrent callers
+// recorded meanwhile. Every flush point of the tracer calls it.
+func (t *Tracer) Flush() {
+	t.seq.Flush()
+	t.eng.Flush()
+}
 
 // allocFnName maps an allocation kind to the API function the wrapper
 // intercepted, for diagnostic messages.
@@ -168,13 +215,14 @@ func (t *Tracer) TraceAlloc(a *memsim.Alloc) {
 // so they still land in the entry.
 func (t *Tracer) TraceFree(a *memsim.Alloc) {
 	t.frees.Add(1)
-	t.eng.Flush()
+	t.Flush()
 	t.eng.Locked(func() { t.pl.Free(a.ID) })
 }
 
 // TraceAccess implements cuda.Tracer; it is the runtime body of traceR,
 // traceW, and traceRW. It only records into an engine slot — safe for
-// concurrent simulated kernels.
+// concurrent callers. The simulated runtime records through the
+// Sequential view instead.
 func (t *Tracer) TraceAccess(dev machine.Device, _ *memsim.Alloc, addr memsim.Addr, size int64, kind memsim.AccessKind) {
 	t.eng.Record(dev, addr, size, kind)
 }
@@ -197,7 +245,7 @@ func (t *Tracer) TraceTransfer(a *memsim.Alloc, dir um.TransferDir, off, n int64
 	if !t.eng.Enabled() {
 		return
 	}
-	t.eng.Flush()
+	t.Flush()
 	if dir == um.HostToDevice {
 		t.h2d.Add(1)
 	} else {
@@ -241,7 +289,7 @@ func (t *Tracer) TraceKernelLaunch(name string) {
 	if !t.pl.WantsSpans() {
 		return
 	}
-	t.eng.Flush()
+	t.Flush()
 	t.eng.Locked(func() { t.pl.Span(name) })
 }
 
