@@ -215,10 +215,10 @@ func BenchmarkTraceOverheadPatternSink(b *testing.B) {
 // against the scalar path on the same sweep workload, so the per-access
 // figure is the amortized cost of covering one element. Contiguous and
 // Strided go through xplrt device scopes and the single-owner Buffer:
-// one ScopeRange call replaces a block's worth of ScopeR calls. SlotRows
-// goes through trace.Tracer and the engine's per-P slots with the short
-// 2-4-line rows the Rodinia kernels record, each of which flushes the
-// engine at record time. The acceptance bar for the contiguous shape is
+// one ScopeRange call replaces a block's worth of ScopeR calls. TracerRows
+// goes through trace.Tracer and its single-owner slot, the path a
+// cuda.Context records through, with the short 2-4-line rows the Rodinia
+// kernels record, each of which drains the slot at record time. The acceptance bar for the contiguous shape is
 // range_speedup_x >= 3 over the scalar buffered path.
 func BenchmarkTraceRangeSweep(b *testing.B) {
 	const total = 1 << 20
@@ -232,7 +232,7 @@ func BenchmarkTraceRangeSweep(b *testing.B) {
 		{"Strided",
 			func() float64 { return bench.RangeSweepHotPath(1, total, 4) },
 			func() float64 { return bench.TraceHotPath(1, total) }},
-		{"SlotRows",
+		{"TracerRows",
 			func() float64 { return bench.TracerRowHotPath(total, false) },
 			func() float64 { return bench.TracerRowHotPath(total, true) }},
 	} {
@@ -301,48 +301,35 @@ func BenchmarkSlotRecord(b *testing.B) {
 	})
 }
 
-// BenchmarkTracerRecord measures trace.Tracer's two recording paths on
-// LULESH's interleaved shape, x[i] = y[i] + z[i] over three managed
-// arrays, drains into the shadow table included. Slot records through
-// Tracer.TraceAccess, the engine's shared per-P slots that concurrent
-// callers use; Sequential through the view a cuda.Context records
-// through, one single-owner slot with no lock. Both are called as a
-// cuda.Tracer, as the simulator calls them. The metric is ns per traced
-// access.
+// BenchmarkTracerRecord measures trace.Tracer's recording path, one
+// single-owner slot with no lock, on LULESH's interleaved shape, x[i] =
+// y[i] + z[i] over three managed arrays, drains into the shadow table
+// included. The tracer is called as a cuda.Tracer, as the simulator
+// calls it. The metric is ns per traced access.
 func BenchmarkTracerRecord(b *testing.B) {
 	const n = 1 << 16
-	for _, c := range []struct {
-		name string
-		view func(*trace.Tracer) cuda.Tracer
-	}{
-		{"Slot", func(t *trace.Tracer) cuda.Tracer { return t }},
-		{"Sequential", (*trace.Tracer).Sequential},
-	} {
-		b.Run(c.name, func(b *testing.B) {
-			tr := trace.New()
-			sp := memsim.NewSpace(4096)
-			var arrays [3]*memsim.Alloc
-			for i, label := range [...]string{"x", "y", "z"} {
-				a, err := sp.Alloc(n*8, memsim.Managed, label)
-				if err != nil {
-					b.Fatal(err)
-				}
-				tr.TraceAlloc(a)
-				arrays[i] = a
-			}
-			x, y, z := arrays[0], arrays[1], arrays[2]
-			v := c.view(tr)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				off := memsim.Addr(8 * (i & (n - 1)))
-				v.TraceAccess(machine.GPU, y, y.Base+off, 8, memsim.Read)
-				v.TraceAccess(machine.GPU, z, z.Base+off, 8, memsim.Read)
-				v.TraceAccess(machine.GPU, x, x.Base+off, 8, memsim.Write)
-			}
-			tr.Flush()
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(3*b.N), "ns_per_access")
-		})
+	tr := trace.New()
+	sp := memsim.NewSpace(4096)
+	var arrays [3]*memsim.Alloc
+	for i, label := range [...]string{"x", "y", "z"} {
+		a, err := sp.Alloc(n*8, memsim.Managed, label)
+		if err != nil {
+			b.Fatal(err)
+		}
+		tr.TraceAlloc(a)
+		arrays[i] = a
 	}
+	x, y, z := arrays[0], arrays[1], arrays[2]
+	var v cuda.Tracer = tr
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		off := memsim.Addr(8 * (i & (n - 1)))
+		v.TraceAccess(machine.GPU, y, y.Base+off, 8, memsim.Read)
+		v.TraceAccess(machine.GPU, z, z.Base+off, 8, memsim.Read)
+		v.TraceAccess(machine.GPU, x, x.Base+off, 8, memsim.Write)
+	}
+	tr.Flush()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(3*b.N), "ns_per_access")
 }
 
 // simAccessSink keeps BenchmarkSimAccess's loaded values live.

@@ -106,9 +106,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if *profile {
-		s.Ctx.SetProfiling(true)
-	}
 	if *whatIf {
 		s.Ctx.SetWhatIfCapture(true)
 	}

@@ -9,6 +9,7 @@ import (
 	"xplacer/internal/apps/rodinia"
 	"xplacer/internal/apps/sw"
 	"xplacer/internal/core"
+	"xplacer/internal/cuda"
 	"xplacer/internal/diag"
 	"xplacer/internal/machine"
 	"xplacer/internal/pipeline"
@@ -94,10 +95,16 @@ func inProcess(t *testing.T, name string, run func(*testing.T, *core.Session)) (
 	return s.Reports(), withoutTimeline(t, r, "default/"+name)
 }
 
+// forwarder is a cuda.Tracer that passes every hook on to the tracer it
+// wraps, the shape of a wrapper that counts or times the hooks before
+// forwarding them.
+type forwarder struct{ cuda.Tracer }
+
 // capture traces the app through a block-policy wire.StreamSink with an
 // end-of-run diagnostic and returns the captured stream and the number
-// of records the sink sent.
-func capture(t *testing.T, name string, run func(*testing.T, *core.Session)) (stream []byte, sent int64) {
+// of records the sink sent. With forward set, the context records
+// through a forwarder around the session's tracer.
+func capture(t *testing.T, name string, run func(*testing.T, *core.Session), forward bool) (stream []byte, sent int64) {
 	t.Helper()
 	plat, err := machine.ByName("Intel+Pascal")
 	if err != nil {
@@ -116,6 +123,9 @@ func capture(t *testing.T, name string, run func(*testing.T, *core.Session)) (st
 		t.Fatal(err)
 	}
 	s.Tracer.EnableStream(ss)
+	if forward {
+		s.Ctx.SetTracer(forwarder{s.Tracer})
+	}
 
 	run(t, s)
 	s.Diagnostic(nil, "end of run")
@@ -139,7 +149,7 @@ func streamed(t *testing.T, name string, run func(*testing.T, *core.Session), re
 	if err != nil {
 		t.Fatal(err)
 	}
-	captured, sent := capture(t, name, run)
+	captured, sent := capture(t, name, run, false)
 
 	reader := pipeline.New()
 	h := reader.Handler()
@@ -253,14 +263,16 @@ func TestTwoStreamsOneAggregator(t *testing.T) {
 
 // TestStreamsDeterministic captures each app's stream twice, at the
 // test's GOMAXPROCS, and requires identical bytes: batch cuts, record
-// order and clock-frame positions included. A simulated session records
-// through one single-owner slot, so its cuts cannot depend on which P
-// the recording goroutine runs on.
+// order and clock-frame positions included. The second capture records
+// through a forwarder, as a wrapper around the session's tracer does. A
+// simulated session records through one single-owner slot, whoever
+// calls its hooks, so its cuts cannot depend on which P the recording
+// goroutine runs on.
 func TestStreamsDeterministic(t *testing.T) {
 	for _, app := range equivApps {
 		t.Run(app.name, func(t *testing.T) {
-			first, _ := capture(t, app.name, app.run)
-			if second, _ := capture(t, app.name, app.run); !bytes.Equal(first, second) {
+			first, _ := capture(t, app.name, app.run, false)
+			if second, _ := capture(t, app.name, app.run, true); !bytes.Equal(first, second) {
 				t.Fatalf("two captures differ: %d and %d bytes", len(first), len(second))
 			}
 		})

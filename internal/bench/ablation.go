@@ -147,7 +147,8 @@ type SMTCutoffRow struct {
 	NsAccess float64
 }
 
-// AblationSMTCutoff measures the per-access tracing cost as the number of
+// AblationSMTCutoff measures the per-access tracing cost, through
+// trace.Tracer.TraceAccess as the simulator records, as the number of
 // allocations grows across the linear/binary search switch at 64 entries
 // (§IV-D). The allocations are sub-page (1 KiB, four to a shadow page) so
 // every lookup takes the sorted-table fallback the cutoff governs — for

@@ -131,11 +131,13 @@ func Table3(workloads []Table3Workload) ([]Table3Row, error) {
 
 // PerAccessOverhead micro-benchmarks the cost of one traced heap access
 // (SMT lookup + shadow update, with the paper's ~50-allocation LULESH
-// table) against a plain Go array access. This ratio is the fair analog of
-// the paper's native-vs-instrumented overhead (~15x): the wall-clock
-// ratios above are compressed because the uninstrumented baseline already
-// pays the simulator's interpretation cost, which native CUDA code does
-// not.
+// table) against a plain Go array access. The traced access is
+// trace.Tracer.TraceAccess, the single-owner slot every simulated kernel
+// records through, its batch drains included. This ratio is the fair
+// analog of the paper's native-vs-instrumented overhead (~15x): the
+// wall-clock ratios above are compressed because the uninstrumented
+// baseline already pays the simulator's interpretation cost, which
+// native CUDA code does not.
 func PerAccessOverhead() (plainNs, tracedNs, ratio float64) {
 	sp := memsim.NewSpace(64 << 10)
 	tr := trace.New()

@@ -138,11 +138,12 @@ func RangeSweepHotPath(goroutines, total, stride int) float64 {
 	return float64(elapsed.Nanoseconds()) / float64(per*goroutines)
 }
 
-// TracerRowHotPath measures the slot-path range cost on the shape the
-// range-converted Rodinia kernels issue: trace.Tracer.TraceAccessRange
-// over short float32 rows of 24, 40 and 56 elements, each row read and
-// then written. Rows start 224 bytes apart, so every record spans 2-4
-// cache lines and flushes the engine at record time. With scalar set
+// TracerRowHotPath measures the simulated tracer's range cost on the
+// shape the range-converted Rodinia kernels issue:
+// trace.Tracer.TraceAccessRange, the tracer's single-owner slot, over
+// short float32 rows of 24, 40 and 56 elements, each row read and then
+// written. Rows start 224 bytes apart, so every record spans 2-4 cache
+// lines and drains the slot at record time. With scalar set
 // the same rows go through TraceAccess element by element instead. The
 // returned figure is ns per covered element, including the final flush.
 func TracerRowHotPath(total int, scalar bool) float64 {

@@ -5,8 +5,8 @@
 // adding #pragma xpl diagnostic points (paper §III-D).
 //
 // The simulation is sequential: a context runs every kernel body on the
-// caller's goroutine. So an instrumented session installs its tracer's
-// Sequential view on the context, and every traced access appends to one
+// caller's goroutine. So an instrumented session installs its tracer on
+// the context, and every traced access appends to the tracer's one
 // single-owner slot with no lock; the session's diagnostics and the
 // tracer's other flush points drain it on the same goroutine.
 package core
@@ -30,8 +30,7 @@ type Session struct {
 	Ctx *cuda.Context
 	// Tracer is the instrumentation runtime; nil when the session is
 	// uninstrumented (the "original version" of Table III). Ctx records
-	// through its Sequential view, so use it from the goroutine that
-	// drives Ctx.
+	// through it, so use it from the goroutine that drives Ctx.
 	Tracer *trace.Tracer
 	// Opt holds the anti-pattern detector thresholds.
 	Opt detect.Options
@@ -104,7 +103,7 @@ func newSession(plat *machine.Platform, cfg Config) (*Session, error) {
 	}
 	if cfg.Instrument {
 		s.Tracer = trace.New()
-		ctx.SetTracer(s.Tracer.Sequential())
+		ctx.SetTracer(s.Tracer)
 	}
 	return s, nil
 }

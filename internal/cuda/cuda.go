@@ -173,8 +173,6 @@ type Context struct {
 	kernels int64
 	hostWin hostWindow
 
-	profile bool
-
 	// pageShift converts an allocation offset to the page index the UM
 	// driver and the what-if capture key pages by.
 	pageShift uint
@@ -245,10 +243,6 @@ func (c *Context) Now() machine.Duration { return c.tl.Now() }
 
 // KernelCount returns the number of kernels launched so far.
 func (c *Context) KernelCount() int64 { return c.kernels }
-
-// SetProfiling enables (or disables) per-kernel profiling: kernel spans
-// launched while enabled are marked for the KernelProfile view.
-func (c *Context) SetProfiling(on bool) { c.profile = on }
 
 // SetWhatIfCapture enables per-span access aggregation for the what-if
 // replay engine (internal/whatif): while on, kernel spans and host-phase
@@ -362,16 +356,12 @@ func (c *Context) transitionAdvice(a *memsim.Alloc, clear, set um.Advice, dev ma
 	return c.advise(a, set, dev)
 }
 
-// KernelProfile returns the per-launch records collected while profiling
-// was enabled, derived from the timeline's kernel-span events. The
-// returned slice is a fresh copy; mutating it cannot affect runtime
-// state.
+// KernelProfile returns one record per kernel launch, derived from the
+// timeline's kernel-span events. The returned slice is a fresh copy;
+// mutating it cannot affect runtime state.
 func (c *Context) KernelProfile() []KernelRecord {
 	var out []KernelRecord
 	for _, ev := range c.tl.Kernels() {
-		if !ev.Profiled {
-			continue
-		}
 		out = append(out, KernelRecord{
 			Name:          ev.Name,
 			Seq:           ev.Index,
@@ -840,7 +830,6 @@ func (c *Context) Launch(s *Stream, name string, body func(e *Exec)) {
 		MigratedBytes: e.migBytes,
 		PagesTouched:  e.pageCount,
 		Stalled:       e.faults > 0 && c.plat.FaultStallPct > 0,
-		Profiled:      c.profile,
 		Allocs:        e.touchedAllocs(),
 		AllocID:       -1,
 		Work:          e.work,

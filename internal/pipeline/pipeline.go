@@ -8,7 +8,8 @@
 //
 // Every trace, live or streamed, has one Pipeline. The front ends
 // (trace.Tracer, xplrt) make theirs the recording engine's sink and call
-// it at their interception points, under the engine lock. A reader of a
+// it at their interception points: xplrt under the engine lock, the
+// single-owner trace.Tracer on its own goroutine. A reader of a
 // wire stream — the fleet aggregator (internal/agg) — drives its own
 // through Handler, which also holds the checks only untrusted input
 // needs and resets lazily: the report of a finished stream is the

@@ -1,9 +1,11 @@
 // Cross-front-end equivalence: one random access stream, fed through
 // (1) direct per-access shadow.Table.Record calls (the unbatched
-// reference), (2) trace.Tracer (the simulated-runtime front end), and
-// (3) xplrt's scoped-buffer path (the plain-Go front end). All three must
-// produce byte-identical shadow state and identical untracked counts —
-// the property that lets both front ends share one recording engine.
+// reference), (2) trace.Tracer (the simulated-runtime front end, one
+// single-owner slot), (3) xplrt's scoped-buffer path (the plain-Go front
+// end), and (4) the engine's shared slots (Engine.Record into a
+// TableSink, the path of scope-less xplrt). All four must produce
+// byte-identical shadow state and identical untracked counts — the
+// property that lets both front ends share one recording engine.
 package record_test
 
 import (
@@ -62,15 +64,19 @@ func testEquivalence(t *testing.T, seed int64) {
 	}
 
 	// (1) Reference: a bare table, one Record (Find + shadow update) per
-	// access — no batching, no cache.
-	refTable := shadow.NewTable()
+	// access — no batching, no cache. (4) The engine's shared slots:
+	// Engine.Record into a TableSink over a table of the same entries.
+	refTable, slotSink := shadow.NewTable(), record.NewTableSink(shadow.NewTable())
 	bases := make([]memsim.Addr, numAllocs)
 	for i := range bases {
 		bases[i] = memsim.Addr(0x100000 * (i + 1))
-		if _, err := refTable.InsertRange(bases[i], int64(elems[i])*elemSize, fmt.Sprintf("a%d", i), memsim.Managed, "test"); err != nil {
-			t.Fatal(err)
+		for _, tb := range []*shadow.Table{refTable, slotSink.Table()} {
+			if _, err := tb.InsertRange(bases[i], int64(elems[i])*elemSize, fmt.Sprintf("a%d", i), memsim.Managed, "test"); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
+	eng := record.NewEngine(slotSink)
 	var refUntracked int64
 	for _, s := range steps {
 		addr := memsim.Addr(0x50) // in no registered range
@@ -80,7 +86,9 @@ func testEquivalence(t *testing.T, seed int64) {
 		if !refTable.Record(s.dev, addr, elemSize, s.kind) {
 			refUntracked++
 		}
+		eng.Record(s.dev, addr, elemSize, s.kind)
 	}
+	eng.Flush()
 
 	// (2) trace.Tracer over synthetic allocations at the same addresses.
 	tr := trace.New()
@@ -112,7 +120,7 @@ func testEquivalence(t *testing.T, seed int64) {
 		}
 		// One scope per step: the scope flushes when OnDevice returns, so
 		// the global access order (which the read-origin bits depend on)
-		// matches the other two front ends.
+		// matches the other front ends.
 		xplrt.OnDevice(s.dev, func(sc *xplrt.DeviceScope) {
 			switch s.kind {
 			case memsim.Read:
@@ -126,7 +134,7 @@ func testEquivalence(t *testing.T, seed int64) {
 	}
 	xplrtUntracked := xplrt.Untracked() // flushes
 
-	// Shadow state must be byte-identical across all three.
+	// Shadow state must be byte-identical across all four.
 	traceEntries := tr.Table().Entries() // base order == bases order
 	if len(traceEntries) != numAllocs {
 		t.Fatalf("trace entries = %d", len(traceEntries))
@@ -139,11 +147,14 @@ func testEquivalence(t *testing.T, seed int64) {
 		if got := xplrt.ShadowOf(slices[i]); !bytesEqual(ref, got) {
 			t.Errorf("alloc %d: xplrt shadow differs from reference at word %d", i, firstDiff(ref, got))
 		}
+		if got := slotSink.Table().Find(bases[i]).Shadow; !bytesEqual(ref, got) {
+			t.Errorf("alloc %d: slot-path shadow differs from reference at word %d", i, firstDiff(ref, got))
+		}
 	}
 
 	// Untracked counts must agree.
-	if st.Untracked != refUntracked || xplrtUntracked != refUntracked {
-		t.Errorf("untracked: reference %d, trace %d, xplrt %d", refUntracked, st.Untracked, xplrtUntracked)
+	if st.Untracked != refUntracked || xplrtUntracked != refUntracked || slotSink.Untracked() != refUntracked {
+		t.Errorf("untracked: reference %d, trace %d, xplrt %d, slots %d", refUntracked, st.Untracked, xplrtUntracked, slotSink.Untracked())
 	}
 	if refUntracked == 0 {
 		t.Error("stream exercised no untracked accesses; weaken the generator check")

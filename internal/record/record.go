@@ -38,19 +38,17 @@
 // a record of its own. Kind counts are derived from the drained records,
 // not bumped per access.
 //
-// The slots serve concurrent callers: scope-less xplrt accesses and
-// direct trace.Tracer.TraceAccess calls. Two single-owner recorders need
-// neither slot selection nor stamps, because one owner appending in
-// program order and applying its batch in one piece is already ordered,
-// and both coalesce with the same rule:
+// The slots serve concurrent callers: scope-less xplrt accesses. Two
+// single-owner recorders need neither slot selection nor stamps, because
+// one owner appending in program order and applying its batch in one
+// piece is already ordered, and both coalesce with the same rule:
 //
-//   - An OwnedSlot is the simulated runtime's recorder
-//     (trace.Tracer.Sequential; its kernels run on the caller's
-//     goroutine). It drains where one shared slot would for a lone
-//     recorder — the drain rule (fillDue, runDue) and the range
-//     normalization (recordRange) are the slots' own — so its batches
-//     are the ones a lone slot cuts, without the slot lock, the unlocking
-//     store or the stamp load per access.
+//   - An OwnedSlot is the simulated runtime's recorder (trace.Tracer;
+//     its kernels run on the caller's goroutine). It drains where one
+//     shared slot would for a lone recorder — the drain rule (fillDue,
+//     runDue) and the range normalization (recordRange) are the slots'
+//     own — so its batches are the ones a lone slot cuts, without the
+//     slot lock, the unlocking store or the stamp load per access.
 //   - A Buffer, used by xplrt's DeviceScope, drains only when full or
 //     flushed, so even multi-line runs stay batched in it.
 //
@@ -100,14 +98,16 @@
 //     accesses recorded through Record before a buffer section (e.g. CPU
 //     initialization preceding a GPU scope) apply before the buffer's
 //     own batch.
-//  4. Sink applications are serialized by the engine's lock; front ends
-//     run their own sink inspections (diagnostics, table mutation) under
-//     Locked to order them against concurrent drains.
+//  4. Sink applications are serialized by the engine's lock. Only a front
+//     end whose recorders can drain concurrently (xplrt) needs Locked, to
+//     order its own sink inspections (diagnostics, table mutation)
+//     against those drains; a single-owner front end (trace.Tracer)
+//     drains and inspects on one goroutine.
 //
 // Front-end flush points (diagnostics, transfers, frees, scope exits)
-// are implemented as Flush followed by a Locked inspection, which is
-// what makes "flush, then the bulk effect" sequences like TraceTransfer
-// land after all buffered element accesses.
+// are implemented as a flush followed by the inspection, which is what
+// makes "flush, then the bulk effect" sequences like TraceTransfer land
+// after all buffered element accesses.
 package record
 
 import (
@@ -651,10 +651,10 @@ func (e *Engine) Flush() {
 }
 
 // Locked runs fn while holding the engine's sink lock, ordering fn
-// against concurrent batch applies (ordering guarantee 4). Front ends use
-// it for everything that reads or mutates sink state: diagnostics, SMT
-// registration, table swaps. fn must not call Flush, Record, Counts, or
-// Locked.
+// against concurrent batch applies (ordering guarantee 4). A front end
+// whose recorders drain concurrently (xplrt) uses it for everything that
+// reads or mutates sink state: diagnostics, SMT registration, table
+// swaps. fn must not call Flush, Record, Counts, or Locked.
 func (e *Engine) Locked(fn func()) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -815,8 +815,8 @@ func (e *Engine) applyOwned(batch []shadow.Access) {
 // its own flush points. Like a Buffer drain, its drain flushes the shared
 // slots before applying its own batch (ordering guarantee 3); accesses
 // it records interleave with the shared Record stream only at those
-// boundaries. The simulated runtime records through one
-// (trace.Tracer.Sequential): its kernels run on the caller's goroutine.
+// boundaries. The simulated runtime records through one (trace.Tracer):
+// its kernels run on the caller's goroutine.
 type OwnedSlot struct {
 	e        *Engine
 	n, calls int

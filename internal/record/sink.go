@@ -10,7 +10,8 @@ import (
 // table via RecordAll, carrying its own last-entry lookup hint from batch
 // to batch and tallying accesses that hit no traced entry. Apply runs
 // under the engine lock, which is also the lock protecting the table —
-// front ends inspect or mutate the table only inside Engine.Locked.
+// a front end whose recorders drain concurrently inspects or mutates the
+// table only inside Engine.Locked.
 type TableSink struct {
 	table *shadow.Table
 	// last is the entry the previous batch resolved last; RecordAll trusts

@@ -156,9 +156,9 @@ func (e *Entry) wordIndex(addr memsim.Addr) int { return int(addr-e.Base) / Word
 
 // Table is the shadow memory table: entries sorted by base address, plus
 // an AllocID index for O(1) allocation-to-entry lookups. The table itself
-// is not goroutine-safe; concurrent recording front ends (xplrt,
-// trace.Tracer) buffer accesses in the recording engine, which applies
-// them in batches under its own lock via RecordAll.
+// is not goroutine-safe; the recording front ends (xplrt, trace.Tracer)
+// buffer accesses in the recording engine, which applies them in batches
+// under its own lock via RecordAll.
 type Table struct {
 	entries []*Entry
 	byID    map[int]*Entry       // AllocID -> entry, simulated allocations only

@@ -193,7 +193,6 @@ type Event struct {
 	MigratedBytes int64
 	PagesTouched  int
 	Stalled       bool
-	Profiled      bool
 	// Allocs lists the IDs of every allocation the kernel touched — the
 	// hook that lets diagnostics attribute findings to kernel spans.
 	Allocs []int

@@ -21,20 +21,18 @@
 // is its last diagnostic's report (concurrent streams under one reader
 // key end each other's intervals).
 //
-// Accesses reach the engine two ways. The simulated runtime runs every
-// kernel on the caller's goroutine, so core installs the Sequential view
-// on each session's context: it records through a single-owner
-// record.OwnedSlot, which cuts the batches one engine slot would, with no
-// slot lock per access. Tracer.TraceAccess and TraceAccessRange record
-// through the engine's shared slots and are safe for concurrent callers;
-// what those callers may assume is documented once, in package record.
+// A Tracer has one owner. The simulated runtime runs every kernel on the
+// caller's goroutine, so every hook and every flush point runs on the
+// goroutine that drives the tracer's cuda.Context. TraceAccess and
+// TraceAccessRange append to a single-owner record.OwnedSlot, which cuts
+// the batches one engine slot would for a lone recorder, with no slot
+// lock per access, and the interception points act on the pipeline
+// directly.
 package trace
 
 import (
 	"fmt"
-	"sync/atomic"
 
-	"xplacer/internal/cuda"
 	"xplacer/internal/detect"
 	"xplacer/internal/diag"
 	"xplacer/internal/machine"
@@ -65,85 +63,56 @@ type Stats struct {
 }
 
 // Tracer records memory operations into shadow memory through the shared
-// recording engine. The zero value is not usable; call New. TraceAccess
-// and TraceAccessRange may be called from concurrent goroutines;
-// diagnostics and the other wrappers flush the access buffers before
-// touching the table.
-//
-// The Sequential view's recording and the Tracer's flush points (Flush,
-// Table, Pipeline, Stats, Diagnostic, AddSink, EnablePatterns,
-// EnableStream and the TraceFree, TraceTransfer and draining
-// TraceKernelLaunch wrappers) must run on one goroutine at a time, as a
-// cuda.Context calls them: each flush point drains the view's slot.
+// recording engine. The zero value is not usable; call New. All of its
+// methods must be called from one goroutine at a time, as a cuda.Context
+// calls its hooks. Its flush points (Flush, Table, Pipeline, Stats,
+// Diagnostic, AddSink, EnablePatterns, EnableStream and the TraceFree,
+// TraceTransfer and draining TraceKernelLaunch wrappers) drain the
+// buffered accesses before they act.
 type Tracer struct {
 	pl  *pipeline.Pipeline
 	eng *record.Engine
-	// seq is the single-owner slot the Sequential view records through.
-	seq *record.OwnedSlot
+	// slot buffers the traced accesses.
+	slot *record.OwnedSlot
 
 	// Wrapper event counters; element-access kind counts live in the
 	// engine, untracked counts in the pipeline.
-	allocs, frees, h2d, d2h, kernels atomic.Int64
+	allocs, frees, h2d, d2h, kernels int64
 }
 
 // New creates an enabled tracer with an empty shadow memory table.
 func New() *Tracer {
 	pl := pipeline.New()
 	eng := record.NewEngine(pl)
-	return &Tracer{pl: pl, eng: eng, seq: eng.NewOwnedSlot()}
-}
-
-// Sequential returns the view of the tracer a cuda.Context records
-// through: its TraceAccess and TraceAccessRange append to the tracer's
-// single-owner slot, which drains where one engine slot would for a lone
-// recorder, with no slot lock; its other hooks are the Tracer's. Record
-// through it from one goroutine at a time, the one that also reaches the
-// Tracer's flush points (see Tracer).
-func (t *Tracer) Sequential() cuda.Tracer { return sequential{t} }
-
-// sequential is the Sequential view. It embeds the Tracer for the
-// wrappers and overrides the two access hooks.
-type sequential struct{ *Tracer }
-
-// TraceAccess implements cuda.Tracer through the single-owner slot.
-func (v sequential) TraceAccess(dev machine.Device, _ *memsim.Alloc, addr memsim.Addr, size int64, kind memsim.AccessKind) {
-	v.seq.Record(dev, addr, size, kind)
-}
-
-// TraceAccessRange implements cuda.Tracer through the single-owner slot.
-func (v sequential) TraceAccessRange(dev machine.Device, _ *memsim.Alloc, addr memsim.Addr, count int, stride, size int64, kind memsim.AccessKind) {
-	v.seq.RecordRange(dev, addr, count, stride, size, kind)
+	return &Tracer{pl: pl, eng: eng, slot: eng.NewOwnedSlot()}
 }
 
 // AddSink attaches an additional observer (e.g. a record.HeatmapSink) to
 // the tracer's engine; it sees every batch drained from now on.
 func (t *Tracer) AddSink(s record.Sink) {
-	t.seq.Flush()
+	t.Flush()
 	t.eng.AddSink(s)
 }
 
 // Table flushes buffered accesses and exposes the shadow memory table for
-// diagnostics. The table itself is not goroutine-safe: callers must not
-// use it while simulated kernels are still tracing.
+// diagnostics.
 func (t *Tracer) Table() *shadow.Table {
 	t.Flush()
 	return t.pl.Table()
 }
 
 // Pipeline flushes buffered accesses and exposes the tracer's analysis
-// pipeline. Like Table, it is not goroutine-safe: attach analyses and
-// streams to it before recording starts, and read them after the run.
+// pipeline. Attach analyses and streams to it before recording starts.
 func (t *Tracer) Pipeline() *pipeline.Pipeline {
 	t.Flush()
 	return t.pl
 }
 
 // Diagnostic flushes buffered accesses and runs the pipeline's
-// diagnostic point (analyze, reset, forward) under the engine lock.
-func (t *Tracer) Diagnostic(title string, opt detect.Options) (r diag.Report) {
+// diagnostic point (analyze, reset, forward).
+func (t *Tracer) Diagnostic(title string, opt detect.Options) diag.Report {
 	t.Flush()
-	t.eng.Locked(func() { r = t.pl.Diagnostic(title, opt) })
-	return r
+	return t.pl.Diagnostic(title, opt)
 }
 
 // Stats flushes buffered accesses and returns cumulative instrumentation
@@ -156,11 +125,11 @@ func (t *Tracer) Stats() Stats {
 		Writes:       c.Writes,
 		ReadWrites:   c.ReadWrites,
 		Untracked:    t.pl.Untracked(),
-		Allocs:       t.allocs.Load(),
-		Frees:        t.frees.Load(),
-		TransfersH2D: t.h2d.Load(),
-		TransfersD2H: t.d2h.Load(),
-		Kernels:      t.kernels.Load(),
+		Allocs:       t.allocs,
+		Frees:        t.frees,
+		TransfersH2D: t.h2d,
+		TransfersD2H: t.d2h,
+		Kernels:      t.kernels,
 	}
 }
 
@@ -172,14 +141,9 @@ func (t *Tracer) SetEnabled(on bool) { t.eng.SetEnabled(on) }
 // Enabled reports whether access recording is active.
 func (t *Tracer) Enabled() bool { return t.eng.Enabled() }
 
-// Flush drains every buffered access into the shadow table: the
-// Sequential view's slot first (its drain flushes the shared slots before
-// its own batch), then the shared slots again for what concurrent callers
-// recorded meanwhile. Every flush point of the tracer calls it.
-func (t *Tracer) Flush() {
-	t.seq.Flush()
-	t.eng.Flush()
-}
+// Flush drains every buffered access into the shadow table. Every flush
+// point of the tracer calls it.
+func (t *Tracer) Flush() { t.slot.Flush() }
 
 // allocFnName maps an allocation kind to the API function the wrapper
 // intercepted, for diagnostic messages.
@@ -197,12 +161,8 @@ func allocFnName(k memsim.Kind) string {
 // TraceAlloc implements cuda.Tracer (the trcMalloc/trcMallocManaged
 // wrappers): it creates the SMT entry and shadow memory.
 func (t *Tracer) TraceAlloc(a *memsim.Alloc) {
-	t.allocs.Add(1)
-	var err error
-	t.eng.Locked(func() {
-		err = t.pl.Alloc(wire.AllocInfo{ID: a.ID, Base: a.Base, Size: a.Size, Kind: a.Kind, Label: a.Label, Fn: allocFnName(a.Kind)})
-	})
-	if err != nil {
+	t.allocs++
+	if err := t.pl.Alloc(wire.AllocInfo{ID: a.ID, Base: a.Base, Size: a.Size, Kind: a.Kind, Label: a.Label, Fn: allocFnName(a.Kind)}); err != nil {
 		// An overlap means the simulated allocator handed out overlapping
 		// ranges — a bug worth failing loudly on.
 		panic(fmt.Sprintf("trace: %v", err))
@@ -214,17 +174,15 @@ func (t *Tracer) TraceAlloc(a *memsim.Alloc) {
 // diagnostic (§III-C). Accesses buffered before the free are drained first
 // so they still land in the entry.
 func (t *Tracer) TraceFree(a *memsim.Alloc) {
-	t.frees.Add(1)
+	t.frees++
 	t.Flush()
-	t.eng.Locked(func() { t.pl.Free(a.ID) })
+	t.pl.Free(a.ID)
 }
 
 // TraceAccess implements cuda.Tracer; it is the runtime body of traceR,
-// traceW, and traceRW. It only records into an engine slot — safe for
-// concurrent callers. The simulated runtime records through the
-// Sequential view instead.
+// traceW, and traceRW. It only appends to the tracer's slot.
 func (t *Tracer) TraceAccess(dev machine.Device, _ *memsim.Alloc, addr memsim.Addr, size int64, kind memsim.AccessKind) {
-	t.eng.Record(dev, addr, size, kind)
+	t.slot.Record(dev, addr, size, kind)
 }
 
 // TraceAccessRange implements cuda.Tracer: a strided sweep of count
@@ -232,7 +190,7 @@ func (t *Tracer) TraceAccess(dev machine.Device, _ *memsim.Alloc, addr memsim.Ad
 // run-length-encoded entry with the exact per-word semantics of count
 // TraceAccess calls in ascending order.
 func (t *Tracer) TraceAccessRange(dev machine.Device, _ *memsim.Alloc, addr memsim.Addr, count int, stride, size int64, kind memsim.AccessKind) {
-	t.eng.RecordRange(dev, addr, count, stride, size, kind)
+	t.slot.RecordRange(dev, addr, count, stride, size, kind)
 }
 
 // TraceTransfer implements cuda.Tracer: the copy applies to the shadow
@@ -247,11 +205,11 @@ func (t *Tracer) TraceTransfer(a *memsim.Alloc, dir um.TransferDir, off, n int64
 	}
 	t.Flush()
 	if dir == um.HostToDevice {
-		t.h2d.Add(1)
+		t.h2d++
 	} else {
-		t.d2h.Add(1)
+		t.d2h++
 	}
-	t.eng.Locked(func() { t.pl.Transfer(wire.TransferInfo{ID: a.ID, Dir: byte(dir), Off: off, N: n}) })
+	t.pl.Transfer(wire.TransferInfo{ID: a.ID, Dir: byte(dir), Off: off, N: n})
 }
 
 // EnablePatterns attaches an access-pattern classifier (pattern.Sink)
@@ -283,19 +241,17 @@ func (t *Tracer) EnableStream(ss *wire.StreamSink) { t.Pipeline().AddStream(ss) 
 // TraceKernelLaunch implements cuda.Tracer (the kernel-launch wrapper of
 // Table I). With a pattern or stream sink attached the launch is also a
 // drain point: buffered accesses flush into the previous span, then the
-// new span opens under the engine lock.
+// new span opens.
 func (t *Tracer) TraceKernelLaunch(name string) {
-	t.kernels.Add(1)
+	t.kernels++
 	if !t.pl.WantsSpans() {
 		return
 	}
 	t.Flush()
-	t.eng.Locked(func() { t.pl.Span(name) })
+	t.pl.Span(name)
 }
 
 // Name attaches a user-level label to the allocation's SMT entry — the
 // runtime effect of the XplAllocData argument expansion of
 // #pragma xpl diagnostic (§III-B).
-func (t *Tracer) Name(a *memsim.Alloc, label string) {
-	t.eng.Locked(func() { t.pl.Label(a.ID, label) })
-}
+func (t *Tracer) Name(a *memsim.Alloc, label string) { t.pl.Label(a.ID, label) }

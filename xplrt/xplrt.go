@@ -19,11 +19,10 @@
 //	})
 //
 // which lets concurrent goroutines play different roles at once.
-// Scope-less TraceR/W/RW calls charge the process-wide default role
-// (CPU unless changed by a scope fallback). Everything else about the
-// analysis —
-// write/read origin tracking, alternating-access, density, and transfer
-// diagnostics — is unchanged.
+// Scope-less TraceR/W/RW calls, and scoped calls on a nil scope, charge
+// the CPU. Everything else about the analysis — write/read origin
+// tracking, alternating-access, density, and transfer diagnostics — is
+// unchanged.
 //
 // # Recording hot path and flush semantics
 //
@@ -49,7 +48,6 @@ import (
 	"fmt"
 	"io"
 	"reflect"
-	"sync/atomic"
 	"unsafe"
 
 	"xplacer/internal/detect"
@@ -94,10 +92,6 @@ func newRuntime() *runtime {
 
 var rt = newRuntime()
 
-// defaultDev is the process-wide role used by the scope-less TraceR/W/RW
-// entry points. Goroutine-scoped code uses a DeviceScope instead.
-var defaultDev atomic.Uint32
-
 // recordAccess is the shared body of the trace functions: record into
 // the calling goroutine's engine slot, sweeping the engine if it filled.
 func recordAccess(dev Device, addr uintptr, size int64, kind memsim.AccessKind) {
@@ -114,7 +108,6 @@ func Reset() {
 		rt.pl.Reset()
 		rt.opt = detect.DefaultOptions()
 	})
-	defaultDev.Store(uint32(CPU))
 }
 
 // SetEnabled switches access recording on or off at runtime. Already
@@ -208,7 +201,7 @@ func NewScope(d Device) *DeviceScope {
 // Device returns the scope's role.
 func (s *DeviceScope) Device() Device {
 	if s == nil {
-		return Device(defaultDev.Load())
+		return CPU
 	}
 	return s.dev
 }
@@ -239,7 +232,7 @@ func OnDevice(d Device, fn func(*DeviceScope)) {
 
 // ScopeR records a read through p in the scope's role and returns p, so
 // that "*p" becomes "*xplrt.ScopeR(s, p)" in scoped code. A nil scope
-// falls back to the process-default role via TraceR.
+// falls back to the CPU via TraceR.
 func ScopeR[T any](s *DeviceScope, p *T) *T {
 	if s == nil {
 		return TraceR(p)
@@ -322,20 +315,20 @@ func rangeStep(opts []RangeOpt) int {
 //	sumCol(xplrt.Range(xplrt.Read, xs[c:], xplrt.Stride(cols)), cols)
 //
 // Range is the consolidated range-tracing entry point. The access is
-// charged to the process-wide default role; scoped code uses ScopeRange.
+// charged to the CPU; scoped code uses ScopeRange.
 func Range[T any](kind AccessKind, xs []T, opts ...RangeOpt) []T {
 	if base, n, sz := sliceRange(xs); n > 0 {
 		if step := rangeStep(opts); step == 1 {
-			rt.eng.RecordRange(Device(defaultDev.Load()), base, n, sz, sz, kind)
+			rt.eng.RecordRange(CPU, base, n, sz, sz, kind)
 		} else {
-			rt.eng.RecordRange(Device(defaultDev.Load()), base, (n+step-1)/step, int64(step)*sz, sz, kind)
+			rt.eng.RecordRange(CPU, base, (n+step-1)/step, int64(step)*sz, sz, kind)
 		}
 	}
 	return xs
 }
 
 // ScopeRange is Range in the scope's role, through the scope's private
-// buffer (no locking). A nil scope falls back to the process-default role.
+// buffer (no locking). A nil scope falls back to the CPU via Range.
 // It is a package-level generic function rather than a DeviceScope method
 // because Go methods cannot introduce type parameters.
 func ScopeRange[T any](s *DeviceScope, kind AccessKind, xs []T, opts ...RangeOpt) []T {
@@ -427,23 +420,23 @@ func rangeOf(v reflect.Value) (uintptr, int64) {
 
 // TraceR records a read through p and returns p, so that "*p" becomes
 // "*xplrt.TraceR(p)" (the Go rendering of the paper's traceR). It charges
-// the access to the process-wide default role; scoped code uses ScopeR.
+// the access to the CPU; scoped code uses ScopeR.
 func TraceR[T any](p *T) *T {
-	recordAccess(Device(defaultDev.Load()), uintptr(unsafe.Pointer(p)), int64(unsafe.Sizeof(*p)), memsim.Read)
+	recordAccess(CPU, uintptr(unsafe.Pointer(p)), int64(unsafe.Sizeof(*p)), memsim.Read)
 	return p
 }
 
 // TraceW records a write through p and returns p, so that "*p = v" becomes
 // "*xplrt.TraceW(p) = v".
 func TraceW[T any](p *T) *T {
-	recordAccess(Device(defaultDev.Load()), uintptr(unsafe.Pointer(p)), int64(unsafe.Sizeof(*p)), memsim.Write)
+	recordAccess(CPU, uintptr(unsafe.Pointer(p)), int64(unsafe.Sizeof(*p)), memsim.Write)
 	return p
 }
 
 // TraceRW records a read-modify-write through p and returns p, so that
 // "*p += v" becomes "*xplrt.TraceRW(p) += v".
 func TraceRW[T any](p *T) *T {
-	recordAccess(Device(defaultDev.Load()), uintptr(unsafe.Pointer(p)), int64(unsafe.Sizeof(*p)), memsim.ReadWrite)
+	recordAccess(CPU, uintptr(unsafe.Pointer(p)), int64(unsafe.Sizeof(*p)), memsim.ReadWrite)
 	return p
 }
 

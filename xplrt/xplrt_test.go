@@ -223,13 +223,14 @@ func TestScopeReadWriteKinds(t *testing.T) {
 func TestNilScopeUsesDefaultDevice(t *testing.T) {
 	Reset()
 	xs := Slice[int64](2, "xs")
-	defaultDev.Store(uint32(GPU))
 	var s *DeviceScope
+	if d := s.Device(); d != CPU {
+		t.Errorf("nil scope's device = %v, want CPU", d)
+	}
 	*ScopeW(s, &xs[0]) = 1
-	defaultDev.Store(uint32(CPU))
 	r := Report()
-	if r.Allocs[0].WriteG == 0 {
-		t.Errorf("nil scope did not fall back to default device: %+v", r.Allocs[0])
+	if r.Allocs[0].WriteC == 0 || r.Allocs[0].WriteG != 0 {
+		t.Errorf("nil scope did not fall back to a CPU write: %+v", r.Allocs[0])
 	}
 }
 
